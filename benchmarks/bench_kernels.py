@@ -1,16 +1,15 @@
-"""Kernel-tier benchmark: per-kernel tier sweep + FAISS head-to-head.
+"""Kernel benchmark: the ``np.bitwise_count`` kernels + FAISS head-to-head.
 
 Two questions, answered with committed numbers:
 
-1. What does each kernel tier buy?  Every buildable tier (numpy always;
-   numba/cupy where installed) runs the four hot kernels —
-   ``popcount_swar``, ``hamming_cross``, ``hamming_pairs`` (the
-   XOR+popcount row kernel behind index verification) and the CSA
-   encode pair (``csa_accumulate`` + ``counts_from_planes``) — over the
-   full-scale shapes, asserting byte-identity against the numpy
-   reference before timing.  Unavailable tiers are *recorded*, not
-   skipped silently: the JSON says why (e.g. numba not installed), so a
-   fleet node silently serving on the slow tier is diffable.
+1. What do the packed-bit kernels cost?  Every kernel is one numpy
+   implementation with ``np.bitwise_count`` as the popcount.  The sweep
+   times ``hamming_cross`` at the serving shapes (8 and 64 query rows
+   against 20k and 100k medoids at 1024 dims), ``popcount``,
+   ``xor_popcount_rows`` (the row kernel behind index verification) and
+   the CSA encode pair (``csa_accumulate`` + ``counts_from_planes``).
+   Before any timing it asserts that each ``hamming_cross`` result
+   equals ``hamming_to_query`` stacked over the query rows.
 2. How does :class:`~repro.store.index.BitSliceMedoidIndex` compare to
    FAISS binary indexes?  ``IndexBinaryFlat`` (exact) and
    ``IndexBinaryIVF`` (approximate) over the same packed medoids:
@@ -31,15 +30,20 @@ import time
 
 import numpy as np
 
-from repro.hdc import kernels
-from repro.hdc.bitops import csa_accumulate, counts_from_planes
-from repro.hdc.hamming import _hamming_cross_numpy
+from repro.hdc import hamming_cross, hamming_to_query, kernel_runtime
+from repro.hdc.bitops import (
+    counts_from_planes,
+    csa_accumulate,
+    popcount,
+    xor_popcount_rows,
+)
 from repro.reporting import banner, format_table
 from repro.store.index import BitSliceMedoidIndex, batched_topk
 
 TOP_K = 10
-#: hamming_cross full-scale shape: 1k queries x 100k refs at 1024 dims.
-CROSS_QUERIES, CROSS_REFS, DIM = 1_000, 100_000, 1_024
+DIM = 1_024
+#: hamming_cross shapes: (query rows, medoids), the serving batch sizes.
+CROSS_SHAPES = ((8, 20_000), (64, 20_000), (8, 100_000), (64, 100_000))
 POPCOUNT_WORDS = 4_000_000
 PAIR_ROWS = 1_000_000
 CSA_ROWS, CSA_LANES = 48, 4_096
@@ -57,113 +61,68 @@ def _best_of(function, repeats=3):
     return best, result
 
 
+def _random_words(rng, shape):
+    return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+
+def _assert_cross_exact(queries, refs):
+    """``hamming_cross`` must equal ``hamming_to_query`` row by row."""
+    cross = hamming_cross(queries, refs)
+    for row, query in enumerate(queries):
+        np.testing.assert_array_equal(
+            cross[row], hamming_to_query(refs, query),
+            err_msg=f"hamming_cross row {row} diverged",
+        )
+
+
 def _kernel_cases(rng, smoke):
-    """(name, per-tier thunk factory, reference result) per hot kernel."""
+    """(kernel, shape label, thunk) per timed kernel configuration."""
     scale = 64 if smoke else 1
     words = DIM // 64
-    queries = rng.integers(
-        0, 2**64, size=(CROSS_QUERIES // scale, words), dtype=np.uint64
-    )
-    refs = rng.integers(
-        0, 2**64, size=(CROSS_REFS // scale, words), dtype=np.uint64
-    )
-    flat = rng.integers(
-        0, 2**64, size=POPCOUNT_WORDS // scale, dtype=np.uint64
-    )
-    pairs_a = rng.integers(
-        0, 2**64, size=(PAIR_ROWS // scale, words), dtype=np.uint64
-    )
-    pairs_b = rng.integers(
-        0, 2**64, size=(PAIR_ROWS // scale, words), dtype=np.uint64
-    )
-    csa_rows = rng.integers(
-        0,
-        2**64,
-        size=(CSA_ROWS, CSA_LANES // scale, words),
-        dtype=np.uint64,
-    )
+    cases = []
+    for num_queries, num_refs in CROSS_SHAPES:
+        queries = _random_words(rng, (num_queries, words))
+        refs = _random_words(rng, (num_refs // scale, words))
+        _assert_cross_exact(queries, refs)
+        cases.append(
+            (
+                "hamming_cross",
+                f"{num_queries}x{refs.shape[0]}",
+                lambda q=queries, r=refs: hamming_cross(q, r),
+            )
+        )
+    flat = _random_words(rng, POPCOUNT_WORDS // scale)
+    pairs_a = _random_words(rng, (PAIR_ROWS // scale, words))
+    pairs_b = _random_words(rng, (PAIR_ROWS // scale, words))
+    csa_rows = _random_words(rng, (CSA_ROWS, CSA_LANES // scale, words))
 
-    def cross(backend):
-        return lambda: backend.hamming_cross(queries, refs)
+    def csa():
+        planes = csa_accumulate(csa_rows, CSA_ROWS)
+        return counts_from_planes(planes, DIM)
 
-    def popcount(backend):
-        return lambda: backend.popcount_swar(flat)
-
-    def pairs(backend):
-        return lambda: backend.hamming_pairs(pairs_a, pairs_b)
-
-    def csa(backend):
-        def run():
-            kernels.set_kernel_tier(backend.name)
-            planes = csa_accumulate(csa_rows, CSA_ROWS)
-            return counts_from_planes(planes, DIM)
-
-        return run
-
-    return [
-        ("hamming_cross", cross, f"{queries.shape[0]}x{refs.shape[0]}"),
-        ("popcount_swar", popcount, f"{flat.size} words"),
-        ("hamming_pairs", pairs, f"{pairs_a.shape[0]} rows"),
-        ("csa+counts", csa, f"{CSA_ROWS}x{csa_rows.shape[1]} lanes"),
+    return cases + [
+        ("popcount", f"{flat.size} words", lambda: popcount(flat)),
+        (
+            "xor_popcount_rows",
+            f"{pairs_a.shape[0]} rows",
+            lambda: xor_popcount_rows(pairs_a, pairs_b),
+        ),
+        ("csa+counts", f"{CSA_ROWS}x{csa_rows.shape[1]} lanes", csa),
     ]
 
 
-def _tier_sweep(rng, smoke):
-    """Per-kernel timings for every buildable tier, numpy-pinned."""
-    status = kernels.available_kernel_tiers()
-    buildable = [
-        name for name in reversed(kernels.KERNEL_TIERS)
-        if status[name] is None
-    ]  # numpy first: it produces the reference results
-    cases = _kernel_cases(rng, smoke)
+def _kernel_sweep(rng, smoke):
+    """Best-of timings of every kernel case (equivalence checked first)."""
     repeats = 1 if smoke else 3
-
     rows = []
     records = []
-    reference = {}
-    for tier in buildable:
-        kernels.set_kernel_tier(tier)
-        backend = kernels.active_backend()
-        kernels.warm_up()  # JIT cost paid here, not inside the timing
-        for name, factory, shape in cases:
-            seconds, result = _best_of(factory(backend), repeats)
-            if tier == "numpy":
-                reference[name] = result
-            else:
-                np.testing.assert_array_equal(
-                    np.asarray(result), np.asarray(reference[name]),
-                    err_msg=f"{tier} {name} diverged from numpy",
-                )
-            speedup = None
-            if name in reference and tier != "numpy":
-                base = next(
-                    r for r in records
-                    if r["tier"] == "numpy" and r["kernel"] == name
-                )
-                speedup = round(base["seconds"] / seconds, 2)
-            records.append(
-                {
-                    "tier": tier,
-                    "kernel": name,
-                    "shape": shape,
-                    "seconds": round(seconds, 4),
-                    "speedup_vs_numpy": speedup,
-                }
-            )
-            rows.append(
-                [
-                    tier,
-                    name,
-                    shape,
-                    f"{seconds * 1e3:,.1f}",
-                    "-" if speedup is None else f"{speedup:.2f}x",
-                ]
-            )
-    kernels.set_kernel_tier(None)
-    unavailable = {
-        name: reason for name, reason in status.items() if reason
-    }
-    return rows, records, unavailable
+    for name, shape, thunk in _kernel_cases(rng, smoke):
+        seconds, _ = _best_of(thunk, repeats)
+        records.append(
+            {"kernel": name, "shape": shape, "best_ms": round(seconds * 1e3, 2)}
+        )
+        rows.append([name, shape, f"{seconds * 1e3:,.2f}"])
+    return rows, records
 
 
 def _recall_at_k(got_ids, want_ids):
@@ -194,7 +153,7 @@ def _faiss_head_to_head(rng, smoke):
     queries = rng.integers(
         0, 2**64, size=(num_queries, words), dtype=np.uint64
     )
-    exact = _hamming_cross_numpy(queries, vectors)
+    exact = hamming_cross(queries, vectors)
     want_ids, _ = batched_topk(exact, TOP_K)
 
     contenders = []
@@ -290,33 +249,22 @@ def _faiss_add(index, packed):
 
 def _run(smoke):
     rng = np.random.default_rng(20_240_808)
-    kernels._reset_registry()
-
-    runtime = kernels.kernel_runtime()
-    sweep_rows, sweep_records, unavailable = _tier_sweep(rng, smoke)
+    runtime = kernel_runtime()
+    sweep_rows, sweep_records = _kernel_sweep(rng, smoke)
     faiss_rows, faiss_record = _faiss_head_to_head(rng, smoke)
 
     sections = [
         banner(
-            "Kernel tiers: per-kernel sweep + FAISS head-to-head"
+            "Kernels: np.bitwise_count sweep + FAISS head-to-head"
             + (" (smoke mode)" if smoke else "")
         ),
-        f"active tier: {runtime['tier']} "
-        f"(v{runtime['tier_version']}); "
-        f"numba: {runtime['numba_version'] or 'not installed'}, "
-        f"cupy: {runtime['cupy_version'] or 'not installed'}",
-    ]
-    for name, reason in sorted(unavailable.items()):
-        sections.append(f"tier {name} unavailable: {reason}")
-    sections += [
+        f"kernels: {runtime['tier']} {runtime['tier_version']} "
+        f"(bitwise_count); {os.cpu_count()} CPUs",
         "",
-        format_table(
-            ["tier", "kernel", "shape", "best ms", "vs numpy"],
-            sweep_rows,
-        ),
+        format_table(["kernel", "shape", "best ms"], sweep_rows),
         "",
-        "Equivalence asserted per tier before timing: every kernel's",
-        "output byte-identical to the numpy reference.",
+        "hamming_cross asserted equal to stacked hamming_to_query",
+        "on every shape before timing.",
     ]
     if faiss_rows is None:
         sections += [
@@ -335,7 +283,7 @@ def _run(smoke):
     headline = {
         "benchmark": "kernels",
         "runtime": runtime,
-        "unavailable_tiers": unavailable,
+        "cpu_count": os.cpu_count(),
         "kernel_sweep": sweep_records,
         "faiss_head_to_head": faiss_record,
     }

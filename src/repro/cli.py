@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report streaming progress (spectra/s, batches, per-stage "
              "queue depth) to stderr",
     )
-    _add_kernel_tier_argument(ingest)
 
     query = subparsers.add_parser(
         "query", help="top-k nearest clusters from a repository"
@@ -264,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: the repository manifest's setting)",
     )
     _add_protocol_version_argument(query)
-    _add_kernel_tier_argument(query)
 
     repo_info = subparsers.add_parser(
         "repo-info", help="summarise a cluster repository directory"
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
              "seconds are swept during retirement (default 3600)",
     )
     _add_protocol_version_argument(serve)
-    _add_kernel_tier_argument(serve)
 
     scrub = subparsers.add_parser(
         "scrub",
@@ -486,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-probe timeout in seconds (default 2.0)",
     )
     _add_protocol_version_argument(route_serve)
-    _add_kernel_tier_argument(route_serve)
     return parser
 
 
@@ -501,25 +497,6 @@ def _add_protocol_version_argument(
              "out-of-band binary payloads (default: this build's "
              "preference, capped by REPRO_PROTOCOL_VERSION)",
     )
-
-
-def _add_kernel_tier_argument(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--kernel-tier", default="auto",
-        choices=("auto", "numpy", "numba", "cupy"),
-        help="bit-kernel backend: auto picks the fastest available tier, "
-             "an explicit unavailable tier degrades to numpy with a log "
-             "line (REPRO_KERNEL_TIER overrides; default auto)",
-    )
-
-
-def _apply_kernel_tier(args: argparse.Namespace) -> None:
-    """Install the parsed ``--kernel-tier`` choice, if any."""
-    tier = getattr(args, "kernel_tier", "auto")
-    if tier and tier != "auto":
-        from .hdc.kernels import set_kernel_tier
-
-        set_kernel_tier(tier)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -751,7 +728,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from .io.hvstore import HypervectorStore
     from .store import StreamingIngestor
 
-    _apply_kernel_tier(args)
     if args.batch_size < 1:
         print("error: --batch-size must be >= 1", file=sys.stderr)
         return 2
@@ -929,7 +905,6 @@ def _parse_address(address: str, flag: str):
 def _cmd_query(args: argparse.Namespace) -> int:
     from .io import SpectrumSource
 
-    _apply_kernel_tier(args)
     if args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return 2
@@ -1060,12 +1035,8 @@ def _cmd_repo_info(args: argparse.Namespace) -> int:
     print(f"stored     : {format_bytes(repository.stored_bytes())} "
           f"packed hypervectors")
     print(f"WAL        : {format_bytes(repository.wal_bytes())}")
-    tiers = ", ".join(
-        name for name, entry in sorted(kernel["tiers"].items())
-        if entry["available"]
-    )
-    print(f"kernels    : {kernel['tier']} tier "
-          f"(v{kernel['tier_version']}; available: {tiers})")
+    print(f"kernels    : {kernel['tier']} {kernel['tier_version']} "
+          f"(bitwise_count)")
     print("shards     :")
     for stats in repository.shard_stats():
         print(f"  shard {stats['shard']}: {stats['spectra']} spectra, "
@@ -1077,7 +1048,6 @@ def _cmd_repo_info(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ClusterService, ServiceConfig
 
-    _apply_kernel_tier(args)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -1319,7 +1289,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_route(args: argparse.Namespace) -> int:
     from .fleet import PlacementMap, RouterConfig, RouterDaemon
 
-    _apply_kernel_tier(args)
     placement = PlacementMap.load(args.map)
     router = RouterDaemon(
         placement,
@@ -1385,7 +1354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SpecHDError as error:
+    except (SpecHDError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -37,32 +37,9 @@ _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
 
-def _kernel_worker_init(configured_tier: Optional[str]) -> None:
-    """Process-pool initializer: warm the kernel tier once per worker.
-
-    JIT tiers compile per interpreter, so without this every worker pays
-    the numba compile cost on its *first mapped task* — tens of seconds
-    of latency buried inside what looks like a small work item.  Running
-    the warm-up in the pool initializer moves that cost to pool spawn,
-    where ``ExecutionPool.warm_up`` already accounts for it.  Must never
-    raise: a failed warm-up degrades to numpy inside the registry, and a
-    broken initializer would kill the whole pool.
-    """
-    try:
-        from .hdc import kernels
-
-        if configured_tier is not None:
-            kernels.set_kernel_tier(configured_tier)
-        kernels.warm_up()
-    except Exception:  # noqa: BLE001 - never poison the worker
-        pass
-
-
-def _kernel_warm_probe(_item: int) -> tuple:
-    """Report (pid, tier, warmed) from inside a worker process."""
-    from .hdc import kernels
-
-    return (os.getpid(), kernels.active_kernel_tier(), kernels.is_warmed())
+def _worker_pid(_item: int) -> int:
+    """Report the pid of the worker that ran this item."""
+    return os.getpid()
 
 
 def validate_backend(backend: str) -> str:
@@ -147,44 +124,27 @@ class ExecutionPool:
             else:
                 from concurrent.futures import ProcessPoolExecutor
 
-                from .hdc import kernels
-
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_kernel_worker_init,
-                    initargs=(kernels.configured_tier(),),
-                )
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
     def warm_up(self) -> None:
-        """Eagerly spawn the executor and JIT-warm the kernel tier.
+        """Eagerly spawn the executor and, for ``processes``, every worker.
 
         Pools are created lazily on first dispatch, which is right for
         one-shot CLI runs but wrong for a serving daemon: the first
         client query would pay the whole thread/process spawn (and, for
-        ``processes``, interpreter + import + kernel JIT) cost.  Daemons
-        call this at startup so the first request is as fast as the
-        thousandth.  ``serial``/``threads`` pools share the calling
-        interpreter's kernel registry, so one in-process warm-up covers
-        them; ``processes`` workers each warm in their pool initializer,
-        and mapping a probe over every worker here forces all spawns
-        (and therefore all compiles) to happen now rather than on the
-        first real task.
+        ``processes``, interpreter + import) cost.  Daemons call this at
+        startup so the first request is as fast as the thousandth.
         """
         if self._closed:
             raise ConfigurationError("execution pool is closed")
-        from .hdc import kernels
-
-        if self.backend == "processes" and not self.is_inline:
-            executor = self._ensure_executor()
-            # One probe per worker: ProcessPoolExecutor spawns workers
-            # on demand, so an idle pool would defer the initializer
-            # (and the JIT compile) to the first mapped task.
-            list(executor.map(_kernel_warm_probe, range(self.workers)))
-        else:
-            if not self.is_inline:
-                self._ensure_executor()
-            kernels.warm_up()
+        if self.is_inline:
+            return
+        executor = self._ensure_executor()
+        if self.backend == "processes":
+            # ProcessPoolExecutor spawns workers on demand; one mapped
+            # item per worker forces every spawn to happen now.
+            list(executor.map(_worker_pid, range(self.workers)))
 
     @property
     def is_inline(self) -> bool:

@@ -1,24 +1,14 @@
 """Hyperdimensional-computing substrate: packed bits, item memories, encoder."""
 
-from .kernels import (
-    KERNEL_TIERS,
-    active_kernel_tier,
-    available_kernel_tiers,
-    kernel_runtime,
-    set_kernel_tier,
-)
-from .kernels import warm_up as warm_up_kernels
+from .kernels import kernel_runtime
 from .bitops import (
     WORD_BITS,
     words_for_dim,
     pack_bits,
     unpack_bits,
-    expand_bits,
-    accumulate_bit_counts,
     extract_bit_columns,
     counts_from_planes,
     popcount,
-    popcount_swar,
     xor_popcount_rows,
     hamming_distance,
     random_hypervectors,
@@ -48,23 +38,15 @@ from .compression import (
 )
 
 __all__ = [
-    "KERNEL_TIERS",
-    "active_kernel_tier",
-    "available_kernel_tiers",
     "kernel_runtime",
-    "set_kernel_tier",
-    "warm_up_kernels",
     "xor_popcount_rows",
     "WORD_BITS",
     "words_for_dim",
     "pack_bits",
     "unpack_bits",
-    "expand_bits",
-    "accumulate_bit_counts",
     "extract_bit_columns",
     "counts_from_planes",
     "popcount",
-    "popcount_swar",
     "hamming_distance",
     "random_hypervectors",
     "flip_bits",

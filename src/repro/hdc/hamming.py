@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EncodingError
-from . import kernels as _kernels
-from .bitops import popcount, popcount_swar
+from .bitops import WORD_BITS
 
 #: The FPGA stores distances as 16-bit fixed point; with D_hv <= 65535 the
 #: raw Hamming count always fits losslessly.
@@ -21,22 +20,21 @@ DISTANCE_DTYPE = np.uint16
 #: Largest dimensionality whose raw Hamming counts fit in DISTANCE_DTYPE.
 MAX_CONDENSED_DIM = np.iinfo(DISTANCE_DTYPE).max
 
-#: Target byte footprint of one XOR block in the blocked kernels; keeps the
-#: intermediate (block_rows, n, words) tensor inside the cache working set.
-_BLOCK_BYTES = 1 << 22
+#: Byte budget of one word-major XOR tile ``(words, rows, others)`` in the
+#: blocked kernels: small enough to stay cache-resident from the XOR
+#: through the popcount to the reduction, large enough to amortise the
+#: per-tile Python overhead.
+_TILE_BYTES = 1 << 20
 
-#: Tile budget of the cross kernel.  Its popcount makes ~7 vectorised
-#: passes over each XOR tile, so the tile must stay L2-resident —
-#: 512 KiB tiles measure ~2x faster than multi-MiB ones on large
-#: query x medoid products.
-_CROSS_BLOCK_BYTES = 1 << 19
+
+def _tile_pairs(words: int) -> int:
+    """Row pairs per tile so one XOR tile stays near ``_TILE_BYTES``."""
+    return max(1, _TILE_BYTES // (8 * max(words, 1)))
 
 
 def _block_rows(n: int, words: int) -> int:
-    """Rows per block so one XOR intermediate stays near ``_BLOCK_BYTES``."""
-    if n == 0 or words == 0:
-        return 1
-    return max(1, _BLOCK_BYTES // (n * words * 8))
+    """Rows per block so one block against ``n`` rows fills a tile."""
+    return max(1, _tile_pairs(words) // max(n, 1))
 
 
 def _guard_condensed_dim(words: int) -> None:
@@ -64,23 +62,28 @@ def pairwise_hamming(vectors: np.ndarray) -> np.ndarray:
     for row in range(n):
         xor = np.bitwise_xor(vectors[row : row + 1], vectors[row + 1 :])
         if xor.size:
-            row_distances = popcount(xor).sum(axis=1)
+            row_distances = np.bitwise_count(xor).sum(axis=1)
             distances[row, row + 1 :] = row_distances
             distances[row + 1 :, row] = row_distances
     return distances
 
 
-def _xor_popcount_block(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+def _xor_popcount_block(
+    row_words: np.ndarray, other_words: np.ndarray
+) -> np.ndarray:
     """Hamming distances between every row pair of two packed matrices.
 
-    Broadcasts one XOR over ``(len(rows), len(others))`` pairs and reduces
-    with the in-place SWAR popcount — the intermediate is consumed where it
-    is produced, with no table gathers.
+    Both inputs are word-major (transposed) packed matrices, ``(words, m)``
+    and ``(words, n)``.  One broadcast XOR and one ``np.bitwise_count``
+    cover the whole ``(words, m, n)`` tile; the per-word counts are then
+    summed over the leading axis, one contiguous ``(m, n)`` plane per
+    word, into the narrowest unsigned type that holds ``words * 64`` —
+    the software shape of the FPGA's per-word XOR + popcount tree.
+    Returns the ``(m, n)`` distances.
     """
-    from .bitops import _popcount_swar_inplace
-
-    xor = np.bitwise_xor(rows[:, None, :], others[None, :, :])
-    return _popcount_swar_inplace(xor).sum(axis=-1, dtype=np.int64)
+    xor = np.bitwise_xor(row_words[:, :, None], other_words[:, None, :])
+    dtype = np.min_scalar_type(row_words.shape[0] * WORD_BITS)
+    return np.add.reduce(np.bitwise_count(xor), axis=0, dtype=dtype)
 
 
 def pairwise_hamming_blocked(
@@ -89,8 +92,8 @@ def pairwise_hamming_blocked(
     """Blocked dense pairwise Hamming distances, bit-identical to
     :func:`pairwise_hamming`.
 
-    Processes whole row blocks of the lower triangle per broadcast
-    XOR + SWAR-popcount pass (the software shape of the FPGA's unrolled
+    Processes whole row blocks of the lower triangle per word-major
+    XOR + popcount pass (the software shape of the FPGA's unrolled
     distance array) instead of one Python-level pass per anchor row, and
     mirrors each block into the upper triangle.  ``block_rows`` defaults
     to a size that keeps each XOR intermediate cache-friendly.
@@ -105,13 +108,14 @@ def pairwise_hamming_blocked(
         block_rows = _block_rows(n, words)
     if block_rows < 1:
         raise EncodingError("block_rows must be >= 1")
+    columns = np.ascontiguousarray(vectors.T)
     distances = np.zeros((n, n), dtype=np.int64)
     for lo in range(0, n, block_rows):
         hi = min(lo + block_rows, n)
         # Rows lo:hi against all columns < hi covers this block's share of
         # the lower triangle (plus the in-block upper corner, which holds
         # correct distances too); mirror it for the upper triangle.
-        block = _xor_popcount_block(vectors[lo:hi], vectors[:hi])
+        block = _xor_popcount_block(columns[:, lo:hi], columns[:, :hi])
         distances[lo:hi, :hi] = block
         distances[:hi, lo:hi] = block.T
     np.fill_diagonal(distances, 0)
@@ -124,7 +128,7 @@ def condensed_pairwise_hamming_blocked(
     """Blocked condensed pairwise Hamming distances (uint16).
 
     Bit-identical to :func:`condensed_pairwise_hamming` but computes whole
-    row blocks of the lower triangle per XOR + SWAR-popcount pass.
+    row blocks of the lower triangle per word-major XOR + popcount pass.
     """
     vectors = np.asarray(vectors, dtype=np.uint64)
     if vectors.ndim != 2:
@@ -137,15 +141,16 @@ def condensed_pairwise_hamming_blocked(
         block_rows = _block_rows(n, words)
     if block_rows < 1:
         raise EncodingError("block_rows must be >= 1")
+    columns = np.ascontiguousarray(vectors.T)
     out = np.zeros(n * (n - 1) // 2, dtype=DISTANCE_DTYPE)
     for lo in range(1, n, block_rows):
         hi = min(lo + block_rows, n)
         # Rows lo:hi of the triangle all compare against vectors[:hi-1];
         # one broadcast XOR covers the block, sliced to j < i below.
-        block = _xor_popcount_block(vectors[lo:hi], vectors[: hi - 1])
+        block = _xor_popcount_block(columns[:, lo:hi], columns[:, : hi - 1])
         for offset, i in enumerate(range(lo, hi)):
             start = i * (i - 1) // 2
-            out[start : start + i] = block[offset, :i].astype(DISTANCE_DTYPE)
+            out[start : start + i] = block[offset, :i]
     return out
 
 
@@ -158,17 +163,12 @@ def hamming_cross(
 
     Returns shape ``(len(queries), len(refs))``, bit-identical to stacking
     :func:`hamming_to_query` over the query rows.  The computation is
-    tiled over both query rows and reference rows so each XOR +
-    SWAR-popcount intermediate stays near ``_BLOCK_BYTES`` (the same
+    tiled over both query rows and reference rows so each word-major
+    XOR + popcount tile stays near ``_TILE_BYTES`` (the same
     cache discipline as the pairwise kernels) even when one side is a
     large medoid matrix — this is the kernel the repository's batched
-    shard scans are built on.
-
-    Dispatches through the kernel registry
-    (:mod:`repro.hdc.kernels`): on the numba tier the XOR is popcounted
-    in-register with no intermediate tile at all.  Every tier returns
-    byte-identical distances; an explicit ``block_rows`` pins the numpy
-    tiling path (it is a numpy cache knob, meaningless to fused loops).
+    shard scans are built on.  ``block_rows`` overrides the query rows
+    per tile.
     """
     queries = np.asarray(queries, dtype=np.uint64)
     refs = np.asarray(refs, dtype=np.uint64)
@@ -180,42 +180,22 @@ def hamming_cross(
         )
     num_queries, words = queries.shape
     num_refs = refs.shape[0]
-    if num_queries == 0 or num_refs == 0 or words == 0:
-        return np.zeros((num_queries, num_refs), dtype=np.int64)
-    if block_rows is None:
-        backend = _kernels.active_backend()
-        if backend.name != "numpy":
-            return backend.hamming_cross(queries, refs)
-    return _hamming_cross_numpy(queries, refs, block_rows)
-
-
-def _hamming_cross_numpy(
-    queries: np.ndarray,
-    refs: np.ndarray,
-    block_rows: int | None = None,
-) -> np.ndarray:
-    """The numpy tier of :func:`hamming_cross` (the reference kernel)."""
-    num_queries, words = queries.shape
-    num_refs = refs.shape[0]
     distances = np.zeros((num_queries, num_refs), dtype=np.int64)
-    if num_queries == 0 or num_refs == 0 or words == 0:
+    if num_queries == 0 or num_refs == 0:
         return distances
     if block_rows is None:
-        # Enough query rows per tile to amortise the Python-level loop,
-        # capped so a full-width tile still fits the byte budget.
-        block_rows = min(
-            num_queries,
-            max(16, _CROSS_BLOCK_BYTES // (num_refs * words * 8)),
-        )
+        block_rows = min(num_queries, _block_rows(num_refs, words))
     if block_rows < 1:
         raise EncodingError("block_rows must be >= 1")
-    ref_rows = max(1, _CROSS_BLOCK_BYTES // (block_rows * words * 8))
+    ref_rows = max(1, _tile_pairs(words) // block_rows)
+    query_columns = np.ascontiguousarray(queries.T)
+    ref_columns = np.ascontiguousarray(refs.T)
     for lo in range(0, num_queries, block_rows):
         hi = min(lo + block_rows, num_queries)
         for ref_lo in range(0, num_refs, ref_rows):
             ref_hi = min(ref_lo + ref_rows, num_refs)
             distances[lo:hi, ref_lo:ref_hi] = _xor_popcount_block(
-                queries[lo:hi], refs[ref_lo:ref_hi]
+                query_columns[:, lo:hi], ref_columns[:, ref_lo:ref_hi]
             )
     return distances
 
@@ -229,7 +209,7 @@ def hamming_to_query(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     if vectors.shape[1] != query.shape[0]:
         raise EncodingError("word-count mismatch between matrix and query")
     xor = np.bitwise_xor(vectors, query[None, :])
-    return popcount(xor).sum(axis=1)
+    return np.bitwise_count(xor).sum(axis=1)
 
 
 def condensed_index(i: int, j: int, n: int) -> int:
@@ -262,7 +242,7 @@ def condensed_pairwise_hamming(vectors: np.ndarray) -> np.ndarray:
     out = np.zeros(n * (n - 1) // 2, dtype=DISTANCE_DTYPE)
     for i in range(1, n):
         xor = np.bitwise_xor(vectors[:i], vectors[i : i + 1])
-        row = popcount(xor).sum(axis=1)
+        row = np.bitwise_count(xor).sum(axis=1)
         start = i * (i - 1) // 2
         out[start : start + i] = row.astype(DISTANCE_DTYPE)
     return out

@@ -5,26 +5,42 @@ performance rewrites — every byte of their output must match the reference
 implementations (`encode`/`encode_batch_reference`, `pairwise_hamming`,
 `condensed_pairwise_hamming`).  These golden tests pin that contract across
 dimensionalities, odd/even peak counts (majority tie cases), ragged batches,
-and the word-level CSA counting primitives themselves.
+and the word-level CSA counting primitives themselves.  The
+``np.bitwise_count`` kernels are also swept with hypothesis against the
+independent oracles in ``tests/hdc/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hdc.oracles import (
+    accumulate_bit_counts,
+    expand_bits,
+    popcount_swar,
+    popcount_table,
+    xor_popcount_swar,
+)
 from repro.hdc import (
     EncoderConfig,
     IDLevelEncoder,
-    accumulate_bit_counts,
     condensed_pairwise_hamming,
     condensed_pairwise_hamming_blocked,
-    expand_bits,
+    counts_from_planes,
+    hamming_cross,
+    hamming_distance,
+    hamming_to_query,
+    kernel_runtime,
     pack_bits,
     pairwise_hamming,
     pairwise_hamming_blocked,
+    popcount,
     random_hypervectors,
     unpack_bits,
+    xor_popcount_rows,
 )
 from repro.hdc.bitops import csa_accumulate, planes_greater_than
 from repro.spectrum import MassSpectrum
@@ -232,6 +248,177 @@ class TestCountingPrimitives:
         # Thresholds wider than the plane stack: nothing can exceed them.
         packed = planes_greater_than(planes, np.array([100, 4]))
         assert not packed.any()
+
+
+@st.composite
+def packed_matrices(draw, max_rows=6, max_words=5):
+    rows = draw(st.integers(1, max_rows))
+    words = draw(st.integers(1, max_words))
+    flat = draw(
+        st.lists(
+            st.integers(0, 2**64 - 1),
+            min_size=rows * words,
+            max_size=rows * words,
+        )
+    )
+    return np.array(flat, dtype=np.uint64).reshape(rows, words)
+
+
+class TestBitwiseCountKernels:
+    """Every ``np.bitwise_count`` kernel against an independent oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(words=packed_matrices())
+    def test_popcount_matches_oracles(self, words):
+        got = popcount(words)
+        np.testing.assert_array_equal(got, popcount_swar(words))
+        np.testing.assert_array_equal(got, popcount_table(words))
+        # Third oracle: count the unpacked bits directly.
+        bits = unpack_bits(words, words.shape[1] * 64)
+        np.testing.assert_array_equal(
+            got, bits.reshape(words.shape + (64,)).sum(axis=-1)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hamming_cross_matches_oracle(self, data):
+        queries = data.draw(packed_matrices())
+        refs = data.draw(
+            packed_matrices(max_rows=40, max_words=1).map(
+                lambda m: np.repeat(m, queries.shape[1], axis=1)
+            )
+        )
+        block_rows = data.draw(st.none() | st.integers(1, 8))
+        got = hamming_cross(queries, refs, block_rows=block_rows)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, xor_popcount_swar(queries[:, None, :], refs[None, :, :])
+        )
+        np.testing.assert_array_equal(
+            got, np.stack([hamming_to_query(refs, q) for q in queries])
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_xor_popcount_rows_broadcasts(self, data):
+        groups, rows, words = data.draw(
+            st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5))
+        )
+        vectors = data.draw(arrays(np.uint64, (groups, rows, words)))
+        queries = data.draw(arrays(np.uint64, (groups, 1, words)))
+        got = xor_popcount_rows(vectors, queries)
+        assert got.shape == vectors.shape[:2]
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, xor_popcount_swar(vectors, queries))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=packed_matrices(max_rows=9))
+    def test_csa_and_counts_match_oracle(self, rows):
+        count, words = rows.shape
+        planes = csa_accumulate(rows.reshape(count, 1, words), count)
+        counts = counts_from_planes(planes, words * 64)
+        oracle = accumulate_bit_counts(rows, np.array([0]), words * 64)
+        np.testing.assert_array_equal(counts, oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hamming_to_query_matches_oracle(self, data):
+        vectors = data.draw(packed_matrices())
+        query = data.draw(arrays(np.uint64, (vectors.shape[1],)))
+        np.testing.assert_array_equal(
+            hamming_to_query(vectors, query),
+            xor_popcount_swar(vectors, query[None, :]),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hamming_distance_matches_oracle(self, data):
+        first = data.draw(packed_matrices())
+        second = data.draw(arrays(np.uint64, first.shape))
+        np.testing.assert_array_equal(
+            hamming_distance(first, second), xor_popcount_swar(first, second)
+        )
+        np.testing.assert_array_equal(
+            hamming_distance(first[0], second[0]),
+            xor_popcount_swar(first[0], second[0]),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(vectors=packed_matrices(max_rows=12))
+    def test_pairwise_kernels_match_oracle(self, vectors):
+        dense = xor_popcount_swar(vectors[:, None, :], vectors[None, :, :])
+        np.testing.assert_array_equal(pairwise_hamming(vectors), dense)
+        np.testing.assert_array_equal(
+            pairwise_hamming_blocked(vectors), dense
+        )
+        rows, cols = np.tril_indices(vectors.shape[0], k=-1)
+        condensed = dense[rows, cols].astype(np.uint16)
+        np.testing.assert_array_equal(
+            condensed_pairwise_hamming(vectors), condensed
+        )
+        np.testing.assert_array_equal(
+            condensed_pairwise_hamming_blocked(vectors), condensed
+        )
+
+    def test_popcount_single_bits_and_full_words(self):
+        single = np.left_shift(
+            np.uint64(1), np.arange(64, dtype=np.uint64)
+        )
+        np.testing.assert_array_equal(popcount(single), np.ones(64))
+        extremes = np.array([0, 2**64 - 1], dtype=np.uint64)
+        np.testing.assert_array_equal(popcount(extremes), [0, 64])
+
+    @pytest.mark.parametrize("words", [1, 1023, 1024])
+    def test_complement_distance_is_exact(self, words):
+        # 1024 words is 65536 bits: one more than uint16 holds, so the
+        # tile reduction must widen its accumulator to stay exact.
+        zeros = np.zeros((2, words), dtype=np.uint64)
+        ones = np.full((3, words), 2**64 - 1, dtype=np.uint64)
+        full = words * 64
+        np.testing.assert_array_equal(
+            hamming_cross(zeros, ones), np.full((2, 3), full)
+        )
+        dense = pairwise_hamming_blocked(np.concatenate([zeros, ones]))
+        assert dense[0, 2] == dense[4, 1] == full
+        assert dense[0, 1] == dense[2, 4] == 0
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5])
+    def test_hamming_cross_spans_reference_tiles(self, block_rows, rng):
+        # Enough references that one query block needs several tiles.
+        queries = rng.integers(0, 2**64, size=(5, 2), dtype=np.uint64)
+        refs = rng.integers(0, 2**64, size=(140_000, 2), dtype=np.uint64)
+        got = hamming_cross(queries, refs, block_rows=block_rows)
+        np.testing.assert_array_equal(
+            got, xor_popcount_swar(queries[:, None, :], refs[None, :, :])
+        )
+
+    def test_hamming_cross_non_contiguous_inputs(self, rng):
+        base = rng.integers(0, 2**64, size=(12, 10), dtype=np.uint64)
+        queries = base[::3, ::2]
+        refs = np.asfortranarray(base[1::2, 1::2])
+        np.testing.assert_array_equal(
+            hamming_cross(queries, refs),
+            hamming_cross(
+                np.ascontiguousarray(queries), np.ascontiguousarray(refs)
+            ),
+        )
+        np.testing.assert_array_equal(
+            hamming_cross(queries, refs),
+            xor_popcount_swar(queries[:, None, :], refs[None, :, :]),
+        )
+
+    def test_kernel_runtime_record(self):
+        record = kernel_runtime()
+        assert record == {"tier": "numpy", "tier_version": np.__version__}
+
+    def test_kernel_tier_env_var_is_ignored(self, monkeypatch, rng):
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "fortran")
+        words = rng.integers(0, 2**64, size=(3, 2), dtype=np.uint64)
+        np.testing.assert_array_equal(
+            hamming_cross(words, words),
+            xor_popcount_swar(words[:, None, :], words[None, :, :]),
+        )
+        assert kernel_runtime()["tier"] == "numpy"
 
 
 class TestPipelineFastPathEquivalence:

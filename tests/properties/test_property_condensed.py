@@ -11,12 +11,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from hdc.oracles import accumulate_bit_counts, expand_bits
 from repro.hdc import (
-    accumulate_bit_counts,
     condensed_index,
     condensed_pairwise_hamming,
     condensed_pairwise_hamming_blocked,
-    expand_bits,
     pack_bits,
     pairwise_hamming,
     pairwise_hamming_blocked,

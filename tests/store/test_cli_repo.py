@@ -108,6 +108,14 @@ class TestIngestCommand:
         out = capsys.readouterr().out
         assert "ingested 40 spectra" in out
 
+    def test_missing_input_is_an_error_line(self, mgf_fixture, capsys):
+        directory, _, _ = mgf_fixture
+        repo = directory / "repo-missing-input"
+        assert main(ingest_args(repo, directory / "nope.mgf")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "nope.mgf" in err
+
     def test_bad_batch_size(self, mgf_fixture, capsys):
         directory, input_path, _ = mgf_fixture
         repo = directory / "repo-bad"
@@ -127,6 +135,8 @@ class TestRepoInfoCommand:
         assert "generation 1" in out
         assert "spectra    : 40" in out
         assert "shard 0" in out
+        assert "kernels    : numpy " in out
+        assert "(bitwise_count)" in out
 
     def test_missing_repository(self, tmp_path, capsys):
         assert main(["repo-info", str(tmp_path / "nope")]) == 1
@@ -182,6 +192,18 @@ class TestQueryCommand:
         empty = tmp_path / "empty.mgf"
         empty.write_text("")
         assert main(["query", str(repo), str(empty)]) == 1
+
+    def test_missing_query_file(self, mgf_fixture, tmp_path, capsys):
+        directory, input_path, _ = mgf_fixture
+        repo = directory / "repo-query-missing"
+        assert main(ingest_args(repo, input_path)) == 0
+        capsys.readouterr()
+        missing = tmp_path / "nope.mgf"
+        assert main(["query", str(repo), str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "nope.mgf" in captured.err
+        assert captured.out == ""
 
     def test_bad_top_k(self, mgf_fixture, tmp_path):
         directory, input_path, query_path = mgf_fixture

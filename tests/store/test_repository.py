@@ -30,6 +30,12 @@ class TestShardMap:
         with pytest.raises(ConfigurationError):
             RepositoryConfig(cluster_threshold=1.5)
 
+    def test_config_has_no_kernel_tier(self):
+        # Kernel selection is not a repository setting: there is one
+        # numpy implementation of every packed-bit kernel.
+        with pytest.raises(TypeError):
+            RepositoryConfig(kernel_tier="numpy")
+
 
 class TestLifecycle:
     def test_create_then_reopen_empty(self, tmp_path, repo_config):

@@ -72,6 +72,37 @@ class TestClusterCommand:
         assert main(["cluster", str(empty)]) == 1
 
 
+class TestMissingInput:
+    @pytest.mark.parametrize("command", ["cluster", "info", "validate"])
+    def test_error_line_not_traceback(self, command, tmp_path, capsys):
+        missing = tmp_path / "nope.mgf"
+        assert main([command, str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "nope.mgf" in err
+
+
+class TestKernelTierFlagRemoved:
+    """The packed-bit kernels have one implementation; no flag picks it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "repo", "input.mgf"],
+            ["query", "repo", "input.mgf"],
+            ["serve", "repo"],
+            ["route", "serve", "map.json"],
+        ],
+        ids=["ingest", "query", "serve", "route-serve"],
+    )
+    def test_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--kernel-tier", "numpy"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --kernel-tier numpy" in err
+
+
 class TestInfoCommand:
     def test_summary(self, mgf_path, capsys):
         assert main(["info", str(mgf_path)]) == 0

@@ -205,6 +205,21 @@ class TestExecutionPoolLifecycle:
         with pytest.raises(ConfigurationError):
             pool.submit(_square, 4)
 
+    def test_warm_up_spawns_every_process_worker(self):
+        from repro.execution import ExecutionPool
+
+        with ExecutionPool("processes", 2) as pool:
+            pool.warm_up()
+            assert len(pool._executor._processes) == 2
+            assert pool.map(_square, [3, 4]) == [9, 16]
+
+    def test_warm_up_inline_pool_allocates_nothing(self):
+        from repro.execution import ExecutionPool
+
+        with ExecutionPool("serial") as pool:
+            pool.warm_up()
+            assert pool._executor is None
+
     def test_worker_exception_surfaces_via_future(self):
         from repro.execution import ExecutionPool
 
