@@ -1,16 +1,24 @@
-"""Kernel benchmark: the ``np.bitwise_count`` kernels + FAISS head-to-head.
+"""Kernel benchmark: ``np.bitwise_count`` kernels, index vs dense, FAISS.
 
-Two questions, answered with committed numbers:
+Three questions, answered with committed numbers:
 
 1. What do the packed-bit kernels cost?  Every kernel is one numpy
    implementation with ``np.bitwise_count`` as the popcount.  The sweep
    times ``hamming_cross`` at the serving shapes (8 and 64 query rows
    against 20k and 100k medoids at 1024 dims), ``popcount``,
    ``xor_popcount_rows`` (the row kernel behind index verification) and
-   the CSA encode pair (``csa_accumulate`` + ``counts_from_planes``).
+   the CSA encode pair (``csa_accumulate`` + ``planes_greater_than``).
    Before any timing it asserts that each ``hamming_cross`` result
    equals ``hamming_to_query`` stacked over the query rows.
-2. How does :class:`~repro.store.index.BitSliceMedoidIndex` compare to
+2. When does :class:`~repro.store.index.BitSliceMedoidIndex` beat the
+   dense scan it prunes?  One shard of 2.5k, 16k or 100k replicate-family
+   medoids, queried by 8- or 64-row batches that are all fresh
+   replicates or 25% novel rows.  Each case asserts the indexed top-k
+   equals ``batched_topk(hamming_cross(...))`` before timing either path;
+   the report names the smallest swept shard size at which the index
+   wins on every mix (the evidence behind ``DEFAULT_MIN_MEDOIDS``) and
+   the 100k all-replicate speedup.
+3. How does :class:`~repro.store.index.BitSliceMedoidIndex` compare to
    FAISS binary indexes?  ``IndexBinaryFlat`` (exact) and
    ``IndexBinaryIVF`` (approximate) over the same packed medoids:
    build time, query throughput, recall@k against exact brute force.
@@ -30,15 +38,19 @@ import time
 
 import numpy as np
 
-from repro.hdc import hamming_cross, hamming_to_query, kernel_runtime
+from repro.hdc import hamming_cross, hamming_to_query, kernel_runtime, pack_bits
 from repro.hdc.bitops import (
-    counts_from_planes,
     csa_accumulate,
+    planes_greater_than,
     popcount,
     xor_popcount_rows,
 )
 from repro.reporting import banner, format_table
-from repro.store.index import BitSliceMedoidIndex, batched_topk
+from repro.store.index import (
+    DEFAULT_MIN_MEDOIDS,
+    BitSliceMedoidIndex,
+    batched_topk,
+)
 
 TOP_K = 10
 DIM = 1_024
@@ -48,6 +60,17 @@ POPCOUNT_WORDS = 4_000_000
 PAIR_ROWS = 1_000_000
 CSA_ROWS, CSA_LANES = 48, 4_096
 INDEX_MEDOIDS, INDEX_QUERIES = 100_000, 1_000
+#: Index-vs-dense sweep: shard sizes, novel-row fractions, batch rows.
+#: The serving workload's shape: families of 64 medoids with 2% of bits
+#: flipped around a random base; replicate rows flip 5% of a medoid.
+SWEEP_MEDOIDS = (2_500, 16_384, 100_000)
+SWEEP_NOVEL = (0.0, 0.25)
+SWEEP_ROWS = (8, 64)
+SWEEP_K = 5
+FAMILY_SIZE, FAMILY_FLIP, QUERY_FLIP = 64, 0.02, 0.05
+#: Speedup over the dense scan the index must reach at 100k
+#: all-replicate medoids (8 rows) to be worth keeping.
+INDEX_GATE_SPEEDUP = 1.5
 
 
 def _best_of(function, repeats=3):
@@ -96,9 +119,11 @@ def _kernel_cases(rng, smoke):
     pairs_b = _random_words(rng, (PAIR_ROWS // scale, words))
     csa_rows = _random_words(rng, (CSA_ROWS, CSA_LANES // scale, words))
 
+    thresholds = np.full(csa_rows.shape[1], CSA_ROWS // 2, dtype=np.int64)
+
     def csa():
         planes = csa_accumulate(csa_rows, CSA_ROWS)
-        return counts_from_planes(planes, DIM)
+        return planes_greater_than(planes, thresholds)
 
     return cases + [
         ("popcount", f"{flat.size} words", lambda: popcount(flat)),
@@ -107,7 +132,7 @@ def _kernel_cases(rng, smoke):
             f"{pairs_a.shape[0]} rows",
             lambda: xor_popcount_rows(pairs_a, pairs_b),
         ),
-        ("csa+counts", f"{CSA_ROWS}x{csa_rows.shape[1]} lanes", csa),
+        ("csa+threshold", f"{CSA_ROWS}x{csa_rows.shape[1]} lanes", csa),
     ]
 
 
@@ -123,6 +148,96 @@ def _kernel_sweep(rng, smoke):
         )
         rows.append([name, shape, f"{seconds * 1e3:,.2f}"])
     return rows, records
+
+
+def _flip_mask(rng, rows, probability):
+    """Packed ``(rows, DIM)`` Bernoulli bit mask, drawn in small chunks."""
+    chunk = 4_096
+    return np.vstack([
+        pack_bits(rng.random((min(chunk, rows - lo), DIM)) < probability)
+        for lo in range(0, rows, chunk)
+    ])
+
+
+def _family_medoids(rng, count):
+    """Replicate-family medoids: noisy copies of ``count / 64`` bases."""
+    bases = _random_words(rng, (max(1, count // FAMILY_SIZE), DIM // 64))
+    family = bases[np.arange(count) % bases.shape[0]]
+    return family ^ _flip_mask(rng, count, FAMILY_FLIP)
+
+
+def _mixed_queries(rng, medoids, rows, novel):
+    """Fresh replicates of random medoids; the last ``novel`` share random."""
+    picks = rng.integers(0, medoids.shape[0], size=rows)
+    queries = medoids[picks] ^ _flip_mask(rng, rows, QUERY_FLIP)
+    fresh = int(round(rows * novel))
+    if fresh:
+        queries[rows - fresh:] = _random_words(rng, (fresh, DIM // 64))
+    return queries
+
+
+def _index_sweep(rng, smoke):
+    """Indexed vs dense top-k on one shard, exactness asserted first."""
+    repeats = 1 if smoke else 5
+    records = []
+    for count in SWEEP_MEDOIDS:
+        medoids = _family_medoids(rng, count)
+        index = BitSliceMedoidIndex.build(medoids, DIM)
+        for novel in SWEEP_NOVEL:
+            for rows in SWEEP_ROWS:
+                queries = _mixed_queries(rng, medoids, rows, novel)
+
+                def dense(q=queries):
+                    return batched_topk(hamming_cross(q, medoids), SWEEP_K)
+
+                def indexed(q=queries):
+                    return index.topk(medoids, q, SWEEP_K)
+
+                want, got = dense(), indexed()
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                dense_s, _ = _best_of(dense, repeats)
+                indexed_s, _ = _best_of(indexed, repeats)
+                records.append({
+                    "medoids": count,
+                    "novel_fraction": novel,
+                    "rows": rows,
+                    "dense_ms": round(dense_s * 1e3, 3),
+                    "indexed_ms": round(indexed_s * 1e3, 3),
+                    "speedup": round(dense_s / indexed_s, 2),
+                })
+    rows = [
+        [
+            f"{r['medoids']:,}",
+            f"{r['novel_fraction']:.0%}",
+            r["rows"],
+            f"{r['dense_ms']:,.2f}",
+            f"{r['indexed_ms']:,.2f}",
+            f"{r['speedup']:.2f}x",
+        ]
+        for r in records
+    ]
+    winning = [
+        count
+        for count in SWEEP_MEDOIDS
+        if all(r["speedup"] > 1.0 for r in records if r["medoids"] == count)
+    ]
+    gate = next(
+        r for r in records
+        if r["medoids"] == max(SWEEP_MEDOIDS)
+        and r["novel_fraction"] == 0.0
+        and r["rows"] == min(SWEEP_ROWS)
+    )
+    summary = {
+        "k": SWEEP_K,
+        "probe_bits": index.probe_bits,
+        "default_min_medoids": DEFAULT_MIN_MEDOIDS,
+        "smallest_winning_medoids": min(winning) if winning else None,
+        "replicate_speedup_100k_8_rows": gate["speedup"],
+        "meets_gate": gate["speedup"] >= INDEX_GATE_SPEEDUP,
+        "cases": records,
+    }
+    return rows, summary
 
 
 def _recall_at_k(got_ids, want_ids):
@@ -251,11 +366,12 @@ def _run(smoke):
     rng = np.random.default_rng(20_240_808)
     runtime = kernel_runtime()
     sweep_rows, sweep_records = _kernel_sweep(rng, smoke)
+    index_rows, index_summary = _index_sweep(rng, smoke)
     faiss_rows, faiss_record = _faiss_head_to_head(rng, smoke)
 
     sections = [
         banner(
-            "Kernels: np.bitwise_count sweep + FAISS head-to-head"
+            "Kernels: np.bitwise_count sweep, index vs dense, FAISS"
             + (" (smoke mode)" if smoke else "")
         ),
         f"kernels: {runtime['tier']} {runtime['tier_version']} "
@@ -265,6 +381,22 @@ def _run(smoke):
         "",
         "hamming_cross asserted equal to stacked hamming_to_query",
         "on every shape before timing.",
+        "",
+        f"Index vs dense top-{SWEEP_K}, one shard "
+        f"(probe_bits = {index_summary['probe_bits']}):",
+        "",
+        format_table(
+            ["medoids", "novel", "rows", "dense ms", "indexed ms", "speedup"],
+            index_rows,
+        ),
+        "",
+        "Indexed top-k asserted equal to the dense top-k before timing.",
+        "Smallest swept shard winning on every mix: "
+        f"{index_summary['smallest_winning_medoids']} "
+        f"(serving default min_medoids = {DEFAULT_MIN_MEDOIDS}).",
+        "100k all-replicate, 8 rows: "
+        f"{index_summary['replicate_speedup_100k_8_rows']:.2f}x dense "
+        f"(bar: {INDEX_GATE_SPEEDUP}x).",
     ]
     if faiss_rows is None:
         sections += [
@@ -285,6 +417,7 @@ def _run(smoke):
         "runtime": runtime,
         "cpu_count": os.cpu_count(),
         "kernel_sweep": sweep_records,
+        "index_vs_dense": index_summary,
         "faiss_head_to_head": faiss_record,
     }
     return "\n".join(sections), headline

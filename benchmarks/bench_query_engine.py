@@ -13,8 +13,9 @@ repositories:
     The cross-Hamming engine: one ``hamming_cross`` + ``argpartition``
     top-k pass per shard per batch, vectorised global merge.
 ``indexed``
-    The batched engine with the bit-slice medoid index pruning each
-    shard scan (exact by construction; verified here).
+    The batched engine with the probe-word medoid index forced on for
+    every shard, whatever its size (exact by construction; verified
+    here).  Serving engages it only on shards of at least 16384 medoids.
 
 Every configuration asserts that all three paths return byte-identical
 matches, so the reported speedups are for *exact* serving.  This is the
@@ -194,9 +195,7 @@ def _batch_sweep(root, rng, smoke):
     rows = []
     for batch in batches:
         queries = _make_queries(rng, medoids, batch)
-        with QueryService(
-            repository, probe_bits=PROBE_BITS, index_min_medoids=1
-        ) as service:
+        with QueryService(repository) as service:
             engine = service.query_vectors(queries, k=TOP_K)
             reference = service.query_vectors_reference(queries, k=TOP_K)
             assert engine == reference, f"batch {batch} mismatch"
@@ -272,17 +271,17 @@ def _run(root, smoke):
     rng = np.random.default_rng(2024)
     sections = [
         banner(
-            "Batched query engine: cross-Hamming scans + bit-slice index "
+            "Batched query engine: cross-Hamming scans + probe-word index "
             f"(D_hv = {DIM}, k = {TOP_K}"
             + (", smoke mode)" if smoke else ")")
         ),
         "Medoid-count sweep (4 shards; PR2 = retained per-query scan "
         "path;",
-        f"indexed = bit-slice pruning, probe_bits = {PROBE_BITS}):",
+        f"indexed = index forced on every shard, probe_bits = {PROBE_BITS}):",
         "",
         _medoid_sweep(root, rng, smoke),
         "",
-        "Batch-size sweep "
+        "Batch-size sweep, default index policy "
         + ("(512 medoids, 4 shards):" if smoke else
            "(20,000 medoids, 4 shards):"),
         "",

@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--probe-bits", type=int, default=None,
-        help="sampled bit planes per shard index "
+        help="sampled bit positions per shard index "
              "(default: the repository manifest's setting)",
     )
     _add_protocol_version_argument(query)

@@ -7,7 +7,6 @@ from .bitops import (
     pack_bits,
     unpack_bits,
     extract_bit_columns,
-    counts_from_planes,
     popcount,
     xor_popcount_rows,
     hamming_distance,
@@ -45,7 +44,6 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "extract_bit_columns",
-    "counts_from_planes",
     "popcount",
     "hamming_distance",
     "random_hypervectors",

@@ -203,9 +203,9 @@ def extract_bit_columns(
     ``packed`` is ``(n, words)`` uint64 and ``positions`` holds bit
     indices in ``[0, words * 64)``; the result is an ``(n, len(positions))``
     uint8 0/1 matrix — column ``j`` is every row's bit at
-    ``positions[j]``.  This is the sampling primitive of the bit-slice
-    medoid index: transposing these columns (via :func:`pack_bits`) gives
-    one packed bitmap over rows per sampled bit plane.
+    ``positions[j]``.  This is the sampling primitive of the medoid
+    index: packing these columns (via :func:`pack_bits`) gives each row's
+    probe words.
     """
     packed = np.asarray(packed, dtype=np.uint64)
     if packed.ndim != 2:
@@ -223,32 +223,6 @@ def extract_bit_columns(
     return (
         (packed[:, word_index] >> bit_index) & np.uint64(1)
     ).astype(np.uint8)
-
-
-def counts_from_planes(
-    planes: np.ndarray, lanes: int, dtype: type = np.int64
-) -> np.ndarray:
-    """Materialise per-lane integer counts from CSA bit-planes.
-
-    ``planes`` is the ``(P, m, words)`` output of :func:`csa_accumulate`;
-    the count of lane ``d`` in row ``g`` is ``sum_k 2**k * bit_d(planes[k, g])``.
-    Returns a ``dtype`` matrix of shape ``(m, lanes)`` (padding bits
-    beyond ``lanes`` in the last word are discarded).  ``dtype`` must be
-    able to hold ``2**P - 1``; narrow types halve the accumulation
-    traffic on large lane counts.
-    """
-    planes = np.asarray(planes, dtype=np.uint64)
-    if planes.ndim != 3:
-        raise EncodingError("counts_from_planes expects (P, m, words) planes")
-    if lanes < 0 or lanes > planes.shape[2] * WORD_BITS:
-        raise EncodingError(f"lane count {lanes} out of range for planes")
-    if (1 << planes.shape[0]) - 1 > np.iinfo(dtype).max:
-        raise EncodingError(f"{np.dtype(dtype).name} cannot hold plane counts")
-    counts = np.zeros((planes.shape[1], lanes), dtype=dtype)
-    for level in range(planes.shape[0]):
-        bits = unpack_bits(planes[level], lanes).astype(dtype)
-        counts += bits << dtype(level)
-    return counts
 
 
 def hamming_distance(first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ a durable substrate.  This package provides it:
     shard per batch), fanned out across shards on the
     :mod:`repro.execution` backends with a vectorised global merge.
 ``repro.store.index``
-    :class:`BitSliceMedoidIndex` — per-shard transposed bit-plane index
-    that prunes shard scans to a candidate set provably containing the
-    exact top-k.
+    :class:`BitSliceMedoidIndex` — per-shard sampled probe-word index
+    that prunes large shard scans to a candidate set provably containing
+    the exact top-k.
 ``repro.store.ingest``
     :class:`StreamingIngestor` — backpressured streaming ingest riding
     the :mod:`repro.streaming` stage graph: parse/preprocess/encode on

@@ -1,22 +1,19 @@
-"""Exact bit-slice pruning index over one shard's medoid matrix.
+"""Exact probe-word pruning index over one shard's medoid matrix.
 
 The brute-force serving path is a dense XOR + popcount scan of every
 medoid (:func:`repro.hdc.hamming_cross`).  This module prunes that scan
-while keeping results provably exact.  The index stores a *transposed*
-(word-column) view of the medoid matrix: for each of ``probe_bits``
-sampled bit positions, one packed bitmap over medoids whose bit ``i`` is
-medoid ``i``'s value at that position — the bit-slice layout of
-signature files, here restricted to a sampled subset of planes so the
-filter costs roughly ``probe_bits / dim`` of a full scan.
+while keeping results provably exact.  At build time the index gathers
+``probe_bits`` seeded, sampled bit positions of every medoid into a
+compact row-major word matrix ``probe`` of shape
+``(count, ceil(probe_bits / 64))`` — a shard-sized sketch that costs
+roughly ``probe_bits / dim`` of a full scan to search.
 
-Candidate generation is multi-probe and two-phase:
+Candidate generation is two-phase:
 
-1.  Each query's mismatch bitmaps against all sampled planes are counted
-    with the carry-save adder network
-    (:func:`repro.hdc.bitops.csa_accumulate`), yielding every medoid's
-    Hamming distance restricted to the sampled positions — a *lower
-    bound* on its full distance, computed without touching the medoid
-    matrix itself.
+1.  The queries' sampled bits are packed the same way and scanned
+    against ``probe`` with one :func:`~repro.hdc.hamming_cross` pass,
+    yielding every medoid's Hamming distance restricted to the sampled
+    positions — a *lower bound* on its full distance.
 2.  The ``pilot`` medoids with the smallest bounds are scored exactly;
     the k-th best exact pilot distance ``tau`` caps the answer, and the
     candidate set is every medoid whose bound is at most ``tau``.
@@ -27,9 +24,13 @@ distance ``d <= tau`` has bound ``<= d <= tau``, so *every* medoid tied
 with or beating the k-th nearest — including all distance ties, which
 the caller breaks by medoid ordinal — lands in the candidate set.
 Medoids outside it have full distance strictly above ``tau`` and cannot
-appear in the exact top-k.  When the filter fails to prune (adversarial
-or contrast-free workloads) the index falls back to the dense scan, so
-it is never asymptotically worse than brute force.
+appear in the exact top-k.  Rows whose candidate set the filter fails
+to shrink (novel or contrast-free queries) are answered by one dense
+scan of just those rows; the other rows of the batch are verified by
+gather.  The filter pass itself is never free, so serving engages the
+index only on shards of at least :data:`DEFAULT_MIN_MEDOIDS` medoids,
+the measured point above which it beats the dense scan on every mix of
+replicate and novel rows.
 """
 
 from __future__ import annotations
@@ -43,44 +44,38 @@ import numpy as np
 
 from ..errors import ConfigurationError, ParseError
 from ..hdc import hamming_cross
-from ..hdc.bitops import (
-    counts_from_planes,
-    csa_accumulate,
-    extract_bit_columns,
-    pack_bits,
-    xor_popcount_rows,
-)
+from ..hdc.bitops import extract_bit_columns, pack_bits, xor_popcount_rows
 
-#: Default number of sampled bit planes per shard index.  Pruning needs
-#: the sampled-mismatch count of a *far* medoid (~probe_bits / 2) to
-#: exceed the k-th nearest exact distance, so deeper probing widens the
-#: workloads the filter can prune; 256 planes prune replicate-style
-#: serving at the common dimensionalities while costing a quarter of a
-#: dense scan at D_hv = 1024 (an eighth at 2048).
+#: Default number of sampled bit positions per shard index.  Pruning
+#: needs the sampled-mismatch count of a *far* medoid (~probe_bits / 2)
+#: to exceed the k-th nearest exact distance, so deeper probing widens
+#: the workloads the filter can prune; 256 positions (four probe words)
+#: prune replicate-style serving at the common dimensionalities while
+#: costing a quarter of a dense scan at D_hv = 1024.
 DEFAULT_PROBE_BITS = 256
 
-#: Default medoid count below which serving skips the index entirely.
-DEFAULT_MIN_MEDOIDS = 1024
+#: Default medoid count below which serving skips the index entirely:
+#: the measured crossover (``benchmarks/bench_kernels.py``) above which
+#: the indexed scan beats the dense one on all-replicate and 25%-novel
+#: batches alike.
+DEFAULT_MIN_MEDOIDS = 16384
 
 #: Format version written into an index file's metadata record.
-INDEX_FORMAT_VERSION = 1
+#: Version 1 stored transposed bit planes; those files load as unreadable
+#: and are rebuilt from the medoids.
+INDEX_FORMAT_VERSION = 2
 
-#: Fixed seed for plane sampling: the sampled layout is a pure function
+#: Fixed seed for position sampling: the sampled layout is a pure function
 #: of (dim, probe_bits), so rebuilt and reloaded indexes agree bit-for-bit.
 _INDEX_SEED = 0x5B17_51CE
 
 #: Minimum pilot size — more pilots tighten ``tau`` at negligible cost.
 _PILOT_MIN = 32
 
-#: Candidate fraction beyond which the gather-based verification would
-#: cost more than the dense scan it replaces; fall back to brute force.
+#: Per-row candidate fraction beyond which gather-based verification
+#: would cost more than the dense scan it replaces; such rows are sent
+#: to the dense scan instead.
 _FALLBACK_FRACTION = 0.25
-
-#: Byte budget of one mismatch-plane block in :meth:`lower_bounds`.
-#: Unlike the cross kernel's 7-pass tiles, the CSA fold streams each
-#: mismatch plane once, so large blocks win: they amortise the adder
-#: network's per-call setup over more queries.
-_QUERY_BLOCK_BYTES = 1 << 24
 
 #: Candidate pairs verified per gather chunk in :meth:`topk`.
 _FLAT_CHUNK = 1 << 18
@@ -124,21 +119,21 @@ def batched_topk(
 
 @dataclass
 class BitSliceMedoidIndex:
-    """Sampled bit planes of one shard's medoids, transposed for probing.
+    """Sampled bits of one shard's medoids, packed into probe words.
 
-    ``positions`` holds the sorted sampled bit positions; ``planes[j]``
-    is the packed bitmap over medoids of plane ``positions[j]`` (bit
-    ``i`` = medoid ``i``'s bit, ``ceil(count / 64)`` words per plane).
+    ``positions`` holds the sorted sampled bit positions; row ``i`` of
+    ``probe`` is medoid ``i``'s bits at those positions, packed like a
+    hypervector (``ceil(probe_bits / 64)`` words per medoid).
     """
 
     dim: int
     count: int
     positions: np.ndarray
-    planes: np.ndarray
+    probe: np.ndarray
 
     @property
     def probe_bits(self) -> int:
-        """Number of sampled bit planes."""
+        """Number of sampled bit positions."""
         return int(self.positions.size)
 
     @classmethod
@@ -166,52 +161,26 @@ class BitSliceMedoidIndex:
         positions = np.sort(
             rng.choice(dim, size=sampled, replace=False)
         ).astype(np.int64)
-        columns = extract_bit_columns(vectors, positions)
-        planes = pack_bits(columns.T)
-        return cls(dim=dim, count=count, positions=positions, planes=planes)
+        probe = pack_bits(extract_bit_columns(vectors, positions))
+        return cls(dim=dim, count=count, positions=positions, probe=probe)
 
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
 
     def lower_bounds(self, queries: np.ndarray) -> np.ndarray:
-        """Per-medoid Hamming distance restricted to the sampled planes.
+        """Per-medoid Hamming distance restricted to the sampled positions.
 
-        Returns an int32 matrix of shape ``(len(queries), count)``; every
+        Returns an int64 matrix of shape ``(len(queries), count)``; every
         entry is a lower bound on the corresponding full Hamming
-        distance.  Computed entirely in the transposed layout: per plane,
-        the mismatch bitmap over all medoids is the stored plane XORed
-        with the query's bit, and the per-medoid mismatch counts are
-        accumulated with carry-save adders.
+        distance.  One cross scan of the queries' packed sampled bits
+        against the stored probe words.
         """
         queries = np.asarray(queries, dtype=np.uint64)
         if queries.ndim != 2:
             raise ConfigurationError("queries must be a 2-D packed matrix")
-        num_queries = queries.shape[0]
-        query_bits = extract_bit_columns(queries, self.positions).astype(bool)
-        sampled = self.positions.size
-        plane_words = self.planes.shape[1]
-        inverted = np.bitwise_not(self.planes)
-        # int32 bounds: counts never exceed probe_bits, and the narrower
-        # accumulator halves the fill traffic of the (queries x medoids)
-        # matrix on large shards.
-        bounds = np.empty((num_queries, self.count), dtype=np.int32)
-        block = max(1, _QUERY_BLOCK_BYTES // max(1, sampled * plane_words * 8))
-        for lo in range(0, num_queries, block):
-            hi = min(lo + block, num_queries)
-            # (sampled, block, plane_words): plane j for query q is the
-            # mismatch bitmap — the stored plane where the query bit is
-            # 0, its complement where the query bit is 1.
-            flip = query_bits[lo:hi].T[:, :, None]
-            rows = np.where(
-                flip, inverted[:, None, :], self.planes[:, None, :]
-            )
-            bounds[lo:hi] = counts_from_planes(
-                csa_accumulate(rows, capacity=sampled),
-                self.count,
-                dtype=np.int32,
-            )
-        return bounds
+        sampled = pack_bits(extract_bit_columns(queries, self.positions))
+        return hamming_cross(sampled, self.probe)
 
     def candidate_mask(
         self, vectors: np.ndarray, queries: np.ndarray, k: int
@@ -227,7 +196,9 @@ class BitSliceMedoidIndex:
         bounds = self.lower_bounds(queries)
         keep = min(k, self.count)
         pilot = min(self.count, max(keep, _PILOT_MIN))
-        pilot_ids, _ = batched_topk(bounds, pilot)
+        # Any ``pilot`` medoids keep the cap exact; the best-bounded ones
+        # keep it tight, and their order does not matter.
+        pilot_ids = np.argpartition(bounds, pilot - 1, axis=1)[:, :pilot]
         pilot_distances = xor_popcount_rows(
             vectors[pilot_ids], queries[:, None, :]
         )
@@ -241,7 +212,9 @@ class BitSliceMedoidIndex:
 
         Bit-identical to ``batched_topk(hamming_cross(queries, vectors), k)``
         — same medoid ordinals, same distances, same ``(distance, ordinal)``
-        tie order — but only candidate medoids are verified exactly.
+        tie order.  Rows with more than ``_FALLBACK_FRACTION`` of the
+        medoids as candidates are scanned densely as one sub-batch; the
+        candidates of every other row are verified exactly by gather.
         """
         vectors = np.asarray(vectors, dtype=np.uint64)
         queries = np.asarray(queries, dtype=np.uint64)
@@ -249,37 +222,22 @@ class BitSliceMedoidIndex:
             raise ConfigurationError(
                 f"index covers {self.count} medoids, got {vectors.shape[0]}"
             )
-        num_queries = queries.shape[0]
         keep = min(k, self.count)
-        if num_queries == 0 or keep >= self.count:
+        if queries.shape[0] == 0 or keep >= self.count:
             return batched_topk(hamming_cross(queries, vectors), k)
         mask = self.candidate_mask(vectors, queries, k)
-        if int(mask.sum()) > _FALLBACK_FRACTION * mask.size:
-            return batched_topk(hamming_cross(queries, vectors), k)
-        query_ids, medoid_ids = np.nonzero(mask)
-        exact = np.empty(query_ids.size, dtype=np.int64)
-        for lo in range(0, query_ids.size, _FLAT_CHUNK):
-            hi = min(lo + _FLAT_CHUNK, query_ids.size)
-            exact[lo:hi] = xor_popcount_rows(
-                vectors[medoid_ids[lo:hi]], queries[query_ids[lo:hi]]
+        dense = mask.sum(axis=1) > _FALLBACK_FRACTION * self.count
+        indices = np.empty((queries.shape[0], keep), dtype=np.int64)
+        distances = np.empty((queries.shape[0], keep), dtype=np.int64)
+        if dense.any():
+            indices[dense], distances[dense] = batched_topk(
+                hamming_cross(queries[dense], vectors), k
             )
-        # One global stable sort keyed (query, distance, ordinal); the
-        # first ``keep`` entries of every query group are its top-k.
-        order = np.lexsort((medoid_ids, exact, query_ids))
-        sorted_queries = query_ids[order]
-        starts = np.zeros(num_queries, dtype=np.int64)
-        np.cumsum(np.bincount(query_ids, minlength=num_queries)[:-1],
-                  out=starts[1:])
-        rank = np.arange(order.size, dtype=np.int64) - starts[sorted_queries]
-        selected = rank < keep
-        indices = np.empty((num_queries, keep), dtype=np.int64)
-        distances = np.empty((num_queries, keep), dtype=np.int64)
-        indices[sorted_queries[selected], rank[selected]] = (
-            medoid_ids[order][selected]
-        )
-        distances[sorted_queries[selected], rank[selected]] = (
-            exact[order][selected]
-        )
+        sparse = np.flatnonzero(~dense)
+        if sparse.size:
+            indices[sparse], distances[sparse] = _verify_candidates(
+                vectors, queries[sparse], mask[sparse], keep
+            )
         return indices, distances
 
     # ------------------------------------------------------------------
@@ -298,7 +256,7 @@ class BitSliceMedoidIndex:
         np.savez(
             path,
             positions=self.positions,
-            planes=self.planes,
+            probe=self.probe,
             meta=np.array(meta),
         )
 
@@ -317,11 +275,47 @@ class BitSliceMedoidIndex:
                     dim=int(meta["dim"]),
                     count=int(meta["count"]),
                     positions=archive["positions"].astype(np.int64),
-                    planes=archive["planes"].astype(np.uint64),
+                    probe=archive["probe"].astype(np.uint64),
                 )
         except ParseError:
             raise
         except Exception as exc:  # np.load raises zip/OS/key errors
             raise ParseError(
-                f"cannot read bit-slice index: {exc}", str(path)
+                f"cannot read medoid index: {exc}", str(path)
             ) from exc
+
+
+def _verify_candidates(
+    vectors: np.ndarray, queries: np.ndarray, mask: np.ndarray, keep: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact top-``keep`` of each query row over its candidate columns.
+
+    Every row of ``mask`` holds at least ``keep`` candidates (the pilot
+    alone supplies them).  Candidates are scored in gather chunks, then
+    one global stable sort keyed ``(query, distance, ordinal)`` puts each
+    query's top-k first in its group.
+    """
+    num_queries = queries.shape[0]
+    query_ids, medoid_ids = np.nonzero(mask)
+    exact = np.empty(query_ids.size, dtype=np.int64)
+    for lo in range(0, query_ids.size, _FLAT_CHUNK):
+        hi = min(lo + _FLAT_CHUNK, query_ids.size)
+        exact[lo:hi] = xor_popcount_rows(
+            vectors[medoid_ids[lo:hi]], queries[query_ids[lo:hi]]
+        )
+    order = np.lexsort((medoid_ids, exact, query_ids))
+    sorted_queries = query_ids[order]
+    starts = np.zeros(num_queries, dtype=np.int64)
+    np.cumsum(np.bincount(query_ids, minlength=num_queries)[:-1],
+              out=starts[1:])
+    rank = np.arange(order.size, dtype=np.int64) - starts[sorted_queries]
+    selected = rank < keep
+    indices = np.empty((num_queries, keep), dtype=np.int64)
+    distances = np.empty((num_queries, keep), dtype=np.int64)
+    indices[sorted_queries[selected], rank[selected]] = (
+        medoid_ids[order][selected]
+    )
+    distances[sorted_queries[selected], rank[selected]] = (
+        exact[order][selected]
+    )
+    return indices, distances

@@ -4,10 +4,14 @@ Serving mirrors ingest's independence argument: every shard owns a
 disjoint set of clusters, so a query batch is encoded once and fanned out
 across shards — each fan-out task scans one shard's medoid matrix for the
 *whole batch at once* (one :func:`repro.hdc.hamming_cross` pass plus an
-``argpartition``-based top-k, optionally pruned by the shard's exact
-:class:`~repro.store.index.BitSliceMedoidIndex`) and the service merges
-the per-shard candidate lists with a single vectorised lexsort keyed
-``(distance, shard, local label)``.
+``argpartition``-based top-k) and the service merges the per-shard
+candidate lists with a single vectorised lexsort keyed ``(distance,
+shard, local label)``.  Shards of at least ``index_min_medoids`` medoids
+(default :data:`~repro.store.index.DEFAULT_MIN_MEDOIDS`, 16384) are
+instead pruned by their exact
+:class:`~repro.store.index.BitSliceMedoidIndex`; smaller shards — every
+shard of a typical serving repository — scan dense, which is faster
+there than any filter pass.
 
 The fan-out reuses the :mod:`repro.execution` backends via a persistent
 :class:`~repro.execution.ExecutionPool`.  Small batches and single-shard
@@ -125,7 +129,7 @@ def _load_shard_snapshot(
                 dim=int(archive["index_dim"][0]),
                 count=int(vectors.shape[0]),
                 positions=archive["index_positions"].astype(np.int64),
-                planes=archive["index_planes"].astype(np.uint64),
+                probe=archive["index_probe"].astype(np.uint64),
             )
     _evict_superseded_snapshots(path)
     while len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_LIMIT:
@@ -362,7 +366,7 @@ class QueryService:
                         [index.bitslice.dim], dtype=np.int64
                     )
                     payload["index_positions"] = index.bitslice.positions
-                    payload["index_planes"] = index.bitslice.planes
+                    payload["index_probe"] = index.bitslice.probe
                 np.savez(path, **payload)
             index.snapshot_path = path
 

@@ -74,8 +74,26 @@ def accumulate_bit_counts(
 
     ``group_starts`` holds the first row of each non-empty group
     (``reduceat`` layout).  Returns an int64 ``(groups, dim)`` matrix: the
-    oracle for ``csa_accumulate`` + ``counts_from_planes``.
+    oracle for ``csa_accumulate`` + :func:`counts_from_planes`.
     """
     bits = expand_bits(packed, dim)
     starts = np.asarray(group_starts, dtype=np.intp)
     return np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+
+
+def counts_from_planes(planes: np.ndarray, lanes: int) -> np.ndarray:
+    """Materialise per-lane integer counts from CSA bit-planes.
+
+    ``planes`` is the ``(P, m, words)`` output of ``csa_accumulate``; the
+    count of lane ``d`` in row ``g`` is
+    ``sum_k 2**k * bit_d(planes[k, g])``.  Returns an int64 matrix of
+    shape ``(m, lanes)`` (padding bits beyond ``lanes`` are discarded).
+    Production code never materialises these counts — the encoder
+    compares the planes against thresholds directly — so this lives with
+    the oracles that check ``csa_accumulate``.
+    """
+    planes = np.asarray(planes, dtype=np.uint64)
+    counts = np.zeros((planes.shape[1], lanes), dtype=np.int64)
+    for level in range(planes.shape[0]):
+        counts += expand_bits(planes[level], lanes).astype(np.int64) << level
+    return counts

@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from hdc.oracles import (
     accumulate_bit_counts,
+    counts_from_planes,
     expand_bits,
     popcount_swar,
     popcount_table,
@@ -29,7 +30,6 @@ from repro.hdc import (
     IDLevelEncoder,
     condensed_pairwise_hamming,
     condensed_pairwise_hamming_blocked,
-    counts_from_planes,
     hamming_cross,
     hamming_distance,
     hamming_to_query,

@@ -196,7 +196,7 @@ class TestCheckpointedIndex:
         reopened = ClusterRepository.open(tmp_path / "repo")
         restored = reopened.cached_query_index(0)
         assert restored is not None
-        np.testing.assert_array_equal(restored.planes, cached.planes)
+        np.testing.assert_array_equal(restored.probe, cached.probe)
         queries = vectors[:10]
         with QueryService(repository, index_min_medoids=1) as service:
             expected = service.query_vectors(queries, k=3)

@@ -418,3 +418,125 @@ class TestCheckpoint:
         assert manifest.num_spectra == len(repository)
         assert manifest.num_clusters == repository.num_clusters
         assert sum(manifest.shard_counts.values()) == len(repository)
+
+
+def _sidecars(directory, generation):
+    gen_dir = ClusterRepository._generation_dir(directory, generation)
+    return sorted(gen_dir.glob("shard-*.index.npz"))
+
+
+def _medoid_vectors(repository, shard_id):
+    shard = repository.shard(shard_id)
+    rows = shard.medoid_rows()
+    return shard.vectors_at([rows[label] for label in sorted(rows)])
+
+
+def _write_v1_sidecar(path, index, vectors):
+    """Overwrite ``path`` with the transposed-plane (v1) index layout."""
+    import json
+
+    from repro.hdc import extract_bit_columns, pack_bits
+
+    planes = pack_bits(extract_bit_columns(vectors, index.positions).T)
+    np.savez(
+        path,
+        positions=index.positions,
+        planes=planes,
+        meta=np.array(json.dumps(
+            {"format_version": 1, "dim": index.dim, "count": index.count}
+        )),
+    )
+
+
+class TestQueryIndexSidecars:
+    @pytest.fixture()
+    def indexed_config(self, repo_config):
+        from dataclasses import replace
+
+        return replace(repo_config, index_min_medoids=1)
+
+    def test_default_checkpoint_writes_no_sidecar(
+        self, tmp_path, repo_config, repo_dataset
+    ):
+        from repro.store.index import DEFAULT_MIN_MEDOIDS
+
+        assert DEFAULT_MIN_MEDOIDS == 16384
+        repository = ClusterRepository.create(tmp_path / "repo", repo_config)
+        repository.add_batch(repo_dataset.spectra)
+        generation = repository.checkpoint()
+        manifest = RepositoryManifest.load(tmp_path / "repo")
+        assert manifest.query_index["min_medoids"] == DEFAULT_MIN_MEDOIDS
+        assert _sidecars(tmp_path / "repo", generation) == []
+        assert not any(name.endswith(".index.npz") for name in manifest.integrity)
+        assert all(
+            repository.cached_query_index(shard_id) is None
+            for shard_id in range(repository.num_shards)
+        )
+
+    def test_forced_checkpoint_writes_v2_sidecars(
+        self, tmp_path, indexed_config, repo_dataset
+    ):
+        import json
+
+        from repro.store import BitSliceMedoidIndex
+
+        repository = ClusterRepository.create(tmp_path / "repo", indexed_config)
+        repository.add_batch(repo_dataset.spectra)
+        generation = repository.checkpoint()
+        paths = _sidecars(tmp_path / "repo", generation)
+        assert len(paths) == repository.num_shards
+        for shard_id, path in enumerate(paths):
+            with np.load(path) as archive:
+                assert json.loads(str(archive["meta"]))["format_version"] == 2
+                assert "planes" not in archive.files
+            restored = BitSliceMedoidIndex.load(path)
+            cached = repository.cached_query_index(shard_id)
+            rebuilt = BitSliceMedoidIndex.build(
+                _medoid_vectors(repository, shard_id),
+                repository.encoder.dim,
+                probe_bits=restored.probe_bits,
+            )
+            np.testing.assert_array_equal(restored.probe, cached.probe)
+            np.testing.assert_array_equal(restored.probe, rebuilt.probe)
+
+    def test_v1_sidecar_generation_opens_and_serves(
+        self, tmp_path, indexed_config, repo_dataset
+    ):
+        from repro.store import QueryService, RepositorySnapshot
+        from repro.store.integrity import integrity_records
+
+        directory = tmp_path / "repo"
+        repository = ClusterRepository.create(directory, indexed_config)
+        repository.add_batch(repo_dataset.spectra)
+        generation = repository.checkpoint()
+        with QueryService(repository, use_index=False) as service:
+            dense = service.query(repo_dataset.spectra, k=4)
+        for shard_id, path in enumerate(_sidecars(directory, generation)):
+            _write_v1_sidecar(
+                path,
+                repository.cached_query_index(shard_id),
+                _medoid_vectors(repository, shard_id),
+            )
+        # Record the v1 bytes in the manifest, as a v1 checkpoint did.
+        manifest = RepositoryManifest.load(directory)
+        manifest.integrity = integrity_records(
+            ClusterRepository._generation_dir(directory, generation)
+        )
+        manifest.save(directory)
+        repository.close()
+
+        reopened = ClusterRepository.open(directory, verify="full")
+        assert all(
+            reopened.cached_query_index(shard_id) is None
+            for shard_id in range(reopened.num_shards)
+        )
+        with QueryService(reopened) as service:
+            assert service.query(repo_dataset.spectra, k=4) == dense
+        reopened.close()
+        with RepositorySnapshot.open(directory, verify="full") as snapshot:
+            assert all(
+                snapshot.cached_query_index(shard_id) is None
+                for shard_id in range(snapshot.num_shards)
+            )
+            with QueryService(snapshot) as service:
+                assert service.query(repo_dataset.spectra, k=4) == dense
