@@ -948,9 +948,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
         with _query_service_context(args) as query_fn:
             source = SpectrumSource(args.input)
-            for _file_index, _batch_index, spectra in source.iter_batches(
+            for _file_index, _batch_index, peaks in source.iter_batches(
                 QUERY_STREAM_BATCH
             ):
+                spectra = peaks.to_spectra()
                 if num_queries == 0:
                     if temp_output is not None:
                         handle = open(temp_output, "w", encoding="utf-8")

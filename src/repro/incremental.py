@@ -43,9 +43,10 @@ from .pipeline import cluster_bucket_labels
 from .spectrum import (
     BucketingConfig,
     MassSpectrum,
+    PeakBatch,
     PreprocessingConfig,
     bucket_key,
-    preprocess_spectrum,
+    preprocess_peaks,
 )
 
 #: Format version of the ``state.json`` snapshot companion file.
@@ -235,16 +236,16 @@ class IncrementalClusterStore:
         """
         if preprocessed:
             accepted = list(spectra)
+            peaks = PeakBatch.from_spectra(accepted)
         else:
-            accepted = []
-            for spectrum in spectra:
-                processed = preprocess_spectrum(spectrum, self.preprocessing)
-                if processed is not None:
-                    accepted.append(processed)
+            peaks, _ = preprocess_peaks(
+                PeakBatch.from_spectra(spectra), self.preprocessing
+            )
+            accepted = peaks.to_spectra()
         dropped = len(spectra) - len(accepted)
         if not accepted:
             return UpdateReport(0, 0, 0, dropped)
-        vectors = self.encoder.encode_batch(accepted)
+        vectors = self.encoder.encode_batch(peaks)
         absorbed, new_clusters = self._ingest(accepted, vectors)
         return UpdateReport(
             num_added=len(accepted),

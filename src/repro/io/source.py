@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, ParseError
-from ..spectrum import MassSpectrum
+from ..spectrum import MassSpectrum, PeakBatch
 from .detect import detect_format
-from .mgf import read_mgf
+from .mgf import read_mgf, read_mgf_batches
 from .ms2 import read_ms2
 from .mzml import read_mzml
 from .mzxml import read_mzxml
@@ -50,18 +50,26 @@ class SpectrumFile:
             )
         return reader(str(self.path))
 
-    def read_batches(self, batch_size: int) -> Iterator[List[MassSpectrum]]:
-        """Parse the file into batches of at most ``batch_size`` spectra."""
+    def read_batches(self, batch_size: int) -> Iterator[PeakBatch]:
+        """Parse the file into columnar batches of at most ``batch_size`` spectra.
+
+        MGF goes through the batch reader, which never builds spectrum
+        objects; the other formats are read spectrum by spectrum and
+        flattened once per batch.
+        """
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.format == "mgf":
+            yield from read_mgf_batches(str(self.path), batch_size)
+            return
         batch: List[MassSpectrum] = []
         for spectrum in self.read():
             batch.append(spectrum)
             if len(batch) >= batch_size:
-                yield batch
+                yield PeakBatch.from_spectra(batch)
                 batch = []
         if batch:
-            yield batch
+            yield PeakBatch.from_spectra(batch)
 
 
 class SpectrumSource:
@@ -112,8 +120,8 @@ class SpectrumSource:
 
     def iter_batches(
         self, batch_size: int
-    ) -> Iterator[Tuple[int, int, List[MassSpectrum]]]:
-        """``(file_index, batch_index, spectra)`` batches in plan order.
+    ) -> Iterator[Tuple[int, int, PeakBatch]]:
+        """``(file_index, batch_index, peaks)`` batches in plan order.
 
         Batches never span files — the boundary rule both the sequential
         and the streamed ingest paths share, so their WAL records line up

@@ -44,9 +44,11 @@ from .hdc import EncoderConfig, IDLevelEncoder, pairwise_hamming_blocked
 from .spectrum import (
     BucketingConfig,
     MassSpectrum,
+    PeakBatch,
     PreprocessingConfig,
     partition_spectra,
-    preprocess_spectrum,
+    preprocess_peaks,
+    preprocess_spectrum,  # noqa: F401 - perfbench's tracer wraps this name
 )
 
 
@@ -289,11 +291,10 @@ class SpecHDPipeline:
         """
         from .io.hvstore import HypervectorStore
 
-        kept: List[MassSpectrum] = []
-        for spectrum in spectra:
-            processed = preprocess_spectrum(spectrum, self.config.preprocessing)
-            if processed is not None:
-                kept.append(processed)
+        processed, _ = preprocess_peaks(
+            PeakBatch.from_spectra(spectra), self.config.preprocessing
+        )
+        kept = processed.to_spectra()
         if kept:
             vectors = np.vstack(
                 list(
@@ -316,19 +317,15 @@ class SpecHDPipeline:
     def run(self, spectra: Sequence[MassSpectrum]) -> SpecHDResult:
         """Run the full pipeline over in-memory spectra.
 
-        Stages: per-spectrum preprocessing (drops QC failures), precursor
+        Stages: batch preprocessing (drops QC failures), precursor
         bucketing (Eq. 1), ID-Level encoding (Eq. 2), per-bucket Hamming
         distance matrices, per-bucket NN-chain HAC with the configured
         linkage cut at ``cluster_threshold``, and medoid selection.
         """
-        kept: List[MassSpectrum] = []
-        kept_indices: List[int] = []
-        for index, spectrum in enumerate(spectra):
-            processed = preprocess_spectrum(spectrum, self.config.preprocessing)
-            if processed is not None:
-                kept.append(processed)
-                kept_indices.append(index)
-        return self._run_preprocessed(kept, kept_indices)
+        processed, kept = preprocess_peaks(
+            PeakBatch.from_spectra(spectra), self.config.preprocessing
+        )
+        return self._run_preprocessed(processed.to_spectra(), kept.tolist())
 
     def _run_preprocessed(
         self,

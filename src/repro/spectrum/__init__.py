@@ -1,13 +1,11 @@
 """Spectrum substrate: data structures, preprocessing, quantization, bucketing."""
 
 from .spectrum import MassSpectrum
+from .peaks import PeakBatch
 from .preprocess import (
     PreprocessingConfig,
-    filter_peaks,
-    select_top_k,
-    scale_and_normalize,
+    preprocess_peaks,
     preprocess_spectrum,
-    preprocess_batch,
     preprocessing_survival_rate,
 )
 from .quantize import (
@@ -43,12 +41,10 @@ from .similarity import (
 
 __all__ = [
     "MassSpectrum",
+    "PeakBatch",
     "PreprocessingConfig",
-    "filter_peaks",
-    "select_top_k",
-    "scale_and_normalize",
+    "preprocess_peaks",
     "preprocess_spectrum",
-    "preprocess_batch",
     "preprocessing_survival_rate",
     "QuantizerConfig",
     "quantize_mz",

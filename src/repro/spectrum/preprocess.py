@@ -11,19 +11,23 @@ pipeline (§III-A):
    which is the standard variance-stabilising transform for ion counts)
    followed by L2 normalisation.
 
-This module implements the same stages in NumPy so that the algorithmic
-behaviour can be tested and reused by both the software pipeline and the
-hardware model (which consumes the *operation counts* these functions report).
+This module implements the same stages in NumPy, vectorised over a
+:class:`~repro.spectrum.peaks.PeakBatch` the way the hardware streams a
+batch, so that the algorithmic behaviour can be tested and reused by both
+the software pipeline and the hardware model (which consumes the
+*operation counts* these functions report).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..units import PROTON_MASS
+from .peaks import PeakBatch, row_offsets, sort_rows
 from .spectrum import MassSpectrum
 
 #: Paper default: drop peaks below 1 % of the base-peak intensity.
@@ -82,81 +86,116 @@ class PreprocessingConfig:
             )
 
 
-def filter_peaks(
-    spectrum: MassSpectrum, config: PreprocessingConfig
-) -> MassSpectrum:
-    """Stage 1 — the Spectra Filter.
+def preprocess_peaks(
+    batch: PeakBatch,
+    config: PreprocessingConfig = PreprocessingConfig(),
+) -> Tuple[PeakBatch, np.ndarray]:
+    """Run the three MSAS stages over every row of a batch at once.
 
-    Removes peaks (a) outside the configured m/z window, (b) within
-    ``precursor_tolerance_da`` of any precursor-ion m/z (all charge
-    reductions of the precursor are considered), and (c) below
-    ``min_intensity_fraction`` of the base peak.
+    Returns ``(processed, kept)``: the rows that survive quality control
+    (at least ``config.min_peaks`` peaks after the filter), preprocessed,
+    and their row indices in ``batch``.  Every kept row is byte-identical
+    to running the stages on that spectrum alone — each stage evaluates
+    the per-spectrum float expressions elementwise:
+
+    1. **Spectra Filter** — drops peaks outside ``[min_mz, max_mz]``,
+       within ``precursor_tolerance_da`` of the precursor at any reduced
+       charge ``1..charge``, or below ``min_intensity_fraction`` of the
+       row's base peak (found with ``np.maximum.reduceat``).
+    2. **Top-k Selector** — a row with more than ``top_k`` peaks keeps
+       its ``np.argpartition(intensity, -k)[-k:]`` in m/z order; the
+       partition runs per row so ties at the cut resolve as they always
+       have (the FPGA realises this stage with a bitonic sorting network,
+       see :mod:`repro.fpga.bitonic`).
+    3. **Scale and Normalization** — ``sqrt``/``rank``/``none`` intensity
+       scaling, then division by the row's L2 norm.  The norm is taken
+       per row with ``np.linalg.norm``: a segmented sum would round
+       differently in the last place.
     """
-    mz = spectrum.mz
-    intensity = spectrum.intensity
+    mz, intensity = batch.mz, batch.intensity
+    rows = batch.peak_rows()
+
+    # Stage 1: the Spectra Filter.
     keep = (mz >= config.min_mz) & (mz <= config.max_mz)
+    # A precursor of charge c also appears at every reduced charge 1..c
+    # after charge reduction in the collision cell.
+    neutral = batch.precursor_mz * batch.charge - batch.charge * PROTON_MASS
+    peak_charge = batch.charge[rows]
+    active = np.arange(mz.size)
+    charge = 1
+    while active.size:
+        at_charge = (neutral[rows[active]] + charge * PROTON_MASS) / charge
+        keep[active] &= (
+            np.abs(mz[active] - at_charge) > config.precursor_tolerance_da
+        )
+        charge += 1
+        active = active[peak_charge[active] >= charge]
+    nonempty = batch.counts > 0
+    base_peak = np.zeros(len(batch), dtype=np.float64)
+    if nonempty.any():
+        base_peak[nonempty] = np.maximum.reduceat(
+            intensity, batch.offsets[:-1][nonempty]
+        )
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, as in Python
+        threshold = config.min_intensity_fraction * base_peak
+    keep &= intensity >= threshold[rows]
 
-    # Remove the precursor ion signal at every reduced charge state: a
-    # precursor of charge c appears at m/z values corresponding to charges
-    # 1..c after charge reduction in the collision cell.
-    neutral = spectrum.neutral_mass
-    from ..units import PROTON_MASS
+    counts = np.bincount(rows[keep], minlength=len(batch))
+    kept = np.flatnonzero(counts >= config.min_peaks)
+    keep &= (counts >= config.min_peaks)[rows]
+    counts = counts[kept]
+    offsets = row_offsets(counts)
+    # The filter can only break m/z order where a NaN peak hid a descent
+    # from the sortedness check; re-sort exactly as a spectrum would.
+    mz, intensity = sort_rows(mz[keep], intensity[keep], offsets)
 
-    for charge in range(1, spectrum.precursor_charge + 1):
-        precursor_mz_at_charge = (neutral + charge * PROTON_MASS) / charge
-        keep &= np.abs(mz - precursor_mz_at_charge) > config.precursor_tolerance_da
+    # Stage 2: the Top-k Selector.
+    k = config.top_k
+    over = np.flatnonzero(counts > k)
+    if over.size:
+        selected = np.ones(mz.size, dtype=bool)
+        for row in over.tolist():
+            start, stop = int(offsets[row]), int(offsets[row + 1])
+            top = np.argpartition(intensity[start:stop], -k)[-k:]
+            selected[start:stop] = False
+            selected[start + top] = True
+        mz, intensity = mz[selected], intensity[selected]
+        counts = np.minimum(counts, k)
+        offsets = row_offsets(counts)
+    out_rows = np.repeat(np.arange(kept.size), counts)
 
-    if intensity.size:
-        threshold = config.min_intensity_fraction * spectrum.base_peak_intensity
-        keep &= intensity >= threshold
-
-    return spectrum.with_peaks(mz[keep], intensity[keep])
-
-
-def select_top_k(spectrum: MassSpectrum, k: int) -> MassSpectrum:
-    """Stage 2 — the Top-k Selector.
-
-    Keeps the ``k`` most intense peaks, preserving m/z order.  This is the
-    software-equivalent of the FPGA's bitonic-sort based selector: the
-    hardware sorts by intensity and truncates; re-sorting the survivors by
-    m/z is free because downstream stages consume m/z-major streams.
-    """
-    if k < 1:
-        raise ConfigurationError(f"top_k must be >= 1, got {k}")
-    if spectrum.peak_count <= k:
-        return spectrum.copy()
-    # argpartition is the O(n) analogue of the truncated bitonic sort.
-    top_indices = np.argpartition(spectrum.intensity, -k)[-k:]
-    top_indices.sort()
-    return spectrum.with_peaks(
-        spectrum.mz[top_indices], spectrum.intensity[top_indices]
-    )
-
-
-def scale_and_normalize(
-    spectrum: MassSpectrum, scaling: str = "sqrt"
-) -> MassSpectrum:
-    """Stage 3 — Scale and Normalization.
-
-    ``sqrt`` compresses the dynamic range of ion counts, ``rank`` replaces
-    intensities with their ranks (robust to detector saturation), ``none``
-    leaves intensities untouched.  All modes finish with L2 normalisation so
-    that the dot product of two processed spectra is their cosine score.
-    """
-    intensity = spectrum.intensity.astype(np.float64)
-    if scaling == "sqrt":
+    # Stage 3: Scale and Normalization.
+    if config.scaling == "sqrt":
         scaled = np.sqrt(intensity)
-    elif scaling == "rank":
-        order = np.argsort(np.argsort(intensity, kind="stable"), kind="stable")
-        scaled = (order + 1).astype(np.float64)
-    elif scaling == "none":
-        scaled = intensity.copy()
+    elif config.scaling == "rank":
+        order = np.lexsort((intensity, out_rows))
+        scaled = np.empty(intensity.size, dtype=np.float64)
+        scaled[order] = np.arange(intensity.size) - offsets[out_rows[order]] + 1
     else:
-        raise ConfigurationError(f"unknown scaling {scaling!r}")
-    norm = np.linalg.norm(scaled)
-    if norm > 0:
-        scaled = scaled / norm
-    return spectrum.with_peaks(spectrum.mz, scaled)
+        scaled = intensity.copy()
+    bounds = offsets.tolist()
+    norms = np.array(
+        [
+            np.linalg.norm(scaled[bounds[row] : bounds[row + 1]])
+            for row in range(kept.size)
+        ],
+        dtype=np.float64,
+    )
+    positive = (norms > 0)[out_rows]
+    np.divide(scaled, norms[out_rows], out=scaled, where=positive)
+
+    kept_rows = kept.tolist()
+    processed = PeakBatch(
+        mz=mz,
+        intensity=scaled,
+        counts=counts,
+        precursor_mz=batch.precursor_mz[kept],
+        charge=batch.charge[kept],
+        identifiers=[batch.identifiers[row] for row in kept_rows],
+        retention_times=[batch.retention_times[row] for row in kept_rows],
+        metadata=[batch.metadata[row] for row in kept_rows],
+    )
+    return processed, kept
 
 
 def preprocess_spectrum(
@@ -168,25 +207,10 @@ def preprocess_spectrum(
     Returns ``None`` when the spectrum does not survive quality control
     (fewer than ``config.min_peaks`` peaks after filtering), matching the
     behaviour of production MS pipelines which drop unusable spectra early.
+    A one-row :func:`preprocess_peaks`; batch callers should call that.
     """
-    filtered = filter_peaks(spectrum, config)
-    if filtered.peak_count < config.min_peaks:
-        return None
-    selected = select_top_k(filtered, config.top_k)
-    return scale_and_normalize(selected, config.scaling)
-
-
-def preprocess_batch(
-    spectra: Iterable[MassSpectrum],
-    config: PreprocessingConfig = PreprocessingConfig(),
-) -> List[MassSpectrum]:
-    """Preprocess a batch, dropping spectra that fail quality control."""
-    processed: List[MassSpectrum] = []
-    for spectrum in spectra:
-        result = preprocess_spectrum(spectrum, config)
-        if result is not None:
-            processed.append(result)
-    return processed
+    processed, kept = preprocess_peaks(PeakBatch.from_spectra([spectrum]), config)
+    return processed.to_spectra()[0] if kept.size else None
 
 
 def preprocessing_survival_rate(
@@ -196,7 +220,5 @@ def preprocessing_survival_rate(
     """Fraction of spectra that survive preprocessing (QC pass rate)."""
     if not spectra:
         return 0.0
-    survivors = sum(
-        1 for s in spectra if preprocess_spectrum(s, config) is not None
-    )
-    return survivors / len(spectra)
+    _, kept = preprocess_peaks(PeakBatch.from_spectra(spectra), config)
+    return kept.size / len(spectra)

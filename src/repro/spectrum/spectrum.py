@@ -9,6 +9,7 @@ FPGA kernels stream ``peak_count`` pairs of fixed-point words.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -64,11 +65,12 @@ class MassSpectrum:
                 f"spectrum {self.identifier!r}: precursor charge must be >= 1, "
                 f"got {self.precursor_charge}"
             )
-        if self.precursor_mz <= 0:
+        if not (math.isfinite(self.precursor_mz) and self.precursor_mz > 0):
             raise SpectrumError(
-                f"spectrum {self.identifier!r}: precursor m/z must be positive"
+                f"spectrum {self.identifier!r}: precursor m/z must be "
+                "positive and finite"
             )
-        if self.mz.size and np.any(np.diff(self.mz) < 0):
+        if self.mz.size > 1 and (self.mz[1:] < self.mz[:-1]).any():
             order = np.argsort(self.mz, kind="stable")
             self.mz = self.mz[order]
             self.intensity = self.intensity[order]

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..execution import ExecutionPool
 from ..hdc import hamming_cross, hamming_to_query
-from ..spectrum import MassSpectrum, preprocess_spectrum
+from ..spectrum import MassSpectrum, PeakBatch, preprocess_peaks
 from .index import (
     DEFAULT_MIN_MEDOIDS,
     DEFAULT_PROBE_BITS,
@@ -383,20 +383,15 @@ class QueryService:
         encoded with its encoder; a spectrum that fails QC gets an empty
         result list (positions stay aligned with the input).
         """
-        kept: List[MassSpectrum] = []
-        kept_positions: List[int] = []
-        for position, spectrum in enumerate(spectra):
-            processed = preprocess_spectrum(
-                spectrum, self.repository.manifest.preprocessing
-            )
-            if processed is not None:
-                kept.append(processed)
-                kept_positions.append(position)
+        processed, kept = preprocess_peaks(
+            PeakBatch.from_spectra(spectra),
+            self.repository.manifest.preprocessing,
+        )
         results: List[List[ClusterMatch]] = [[] for _ in spectra]
-        if kept:
-            vectors = self.repository.encoder.encode_batch(kept)
+        if kept.size:
+            vectors = self.repository.encoder.encode_batch(processed)
             for position, matches in zip(
-                kept_positions, self.query_vectors(vectors, k)
+                kept.tolist(), self.query_vectors(vectors, k)
             ):
                 results[position] = matches
         return results

@@ -44,9 +44,10 @@ from ..io.hvstore import HypervectorStore
 from ..spectrum import (
     BucketingConfig,
     MassSpectrum,
+    PeakBatch,
     PreprocessingConfig,
     bucket_key,
-    preprocess_spectrum,
+    preprocess_peaks,
 )
 from . import fsio
 from .index import (
@@ -689,14 +690,14 @@ class ClusterRepository:
         self, seq: int, spectra: Sequence[MassSpectrum]
     ) -> RepositoryUpdateReport:
         """Preprocess, route by bucket and apply one raw batch."""
-        processed: List[MassSpectrum] = []
-        for spectrum in spectra:
-            kept = preprocess_spectrum(spectrum, self.manifest.preprocessing)
-            if kept is not None:
-                processed.append(kept)
-        dropped = len(spectra) - len(processed)
+        processed, kept = preprocess_peaks(
+            PeakBatch.from_spectra(spectra), self.manifest.preprocessing
+        )
         return self._route_and_apply(
-            seq, processed, vectors=None, dropped=dropped
+            seq,
+            processed.to_spectra(),
+            vectors=None,
+            dropped=len(spectra) - kept.size,
         )
 
     def _apply_encoded(

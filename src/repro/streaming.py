@@ -50,7 +50,13 @@ from .errors import ConfigurationError
 from .execution import ExecutionPool, validate_backend
 from .hdc import EncoderConfig, IDLevelEncoder
 from .io.source import SpectrumFile, SpectrumSource
-from .spectrum import MassSpectrum, PreprocessingConfig, preprocess_spectrum
+from .spectrum import (
+    MassSpectrum,
+    PeakBatch,
+    PreprocessingConfig,
+    preprocess_peaks,
+    preprocess_spectrum,  # noqa: F401 - perfbench's tracer wraps this name
+)
 
 #: Default encoded batches buffered per in-flight file (threads backend)
 #: and extra files in flight beyond the worker count (processes backend).
@@ -182,7 +188,7 @@ class StreamStats:
 
 
 def _encode_raw_batch(
-    raw: List[MassSpectrum],
+    raw: PeakBatch,
     preprocessing: PreprocessingConfig,
     encoder: IDLevelEncoder,
     keep_spectra: bool,
@@ -191,33 +197,18 @@ def _encode_raw_batch(
     raw_start: int,
 ) -> EncodedBatch:
     """Preprocess + encode one raw batch (runs on whichever worker owns it)."""
-    kept: List[MassSpectrum] = []
-    offsets: List[int] = []
-    for offset, spectrum in enumerate(raw):
-        processed = preprocess_spectrum(spectrum, preprocessing)
-        if processed is not None:
-            kept.append(processed)
-            offsets.append(offset)
-    vectors = (
-        encoder.encode_batch(kept)
-        if kept
-        else np.zeros((0, encoder.words), dtype=np.uint64)
-    )
+    processed, kept = preprocess_peaks(raw, preprocessing)
     return EncodedBatch(
         file_index=file_index,
         batch_index=batch_index,
         raw_start=raw_start,
         raw_count=len(raw),
-        kept_offsets=np.array(offsets, dtype=np.int64),
-        identifiers=[spectrum.identifier for spectrum in kept],
-        precursor_mz=np.array(
-            [spectrum.precursor_mz for spectrum in kept], dtype=np.float64
-        ),
-        charge=np.array(
-            [spectrum.precursor_charge for spectrum in kept], dtype=np.int16
-        ),
-        vectors=vectors,
-        spectra=kept if keep_spectra else None,
+        kept_offsets=kept,
+        identifiers=processed.identifiers,
+        precursor_mz=processed.precursor_mz,
+        charge=processed.charge.astype(np.int16),
+        vectors=encoder.encode_batch(processed),
+        spectra=processed.to_spectra() if keep_spectra else None,
     )
 
 
@@ -237,7 +228,7 @@ def encode_spectra(
     ``kept_offsets`` bookkeeping) are exactly the stage graph's.
     """
     return _encode_raw_batch(
-        list(spectra),
+        PeakBatch.from_spectra(spectra),
         preprocessing,
         encoder,
         keep_spectra,

@@ -19,15 +19,17 @@ from repro.hdc import (
     pairwise_hamming,
 )
 from repro.spectrum import (
+    PeakBatch,
     cosine_distance_matrix,
-    preprocess_batch,
+    preprocess_peaks,
 )
 
 
 @pytest.fixture(scope="module")
 def fidelity_data():
     data = generate_dataset(get_workload("easy"))
-    spectra = preprocess_batch(data.spectra)
+    processed, _ = preprocess_peaks(PeakBatch.from_spectra(data.spectra))
+    spectra = processed.to_spectra()
     encoder = IDLevelEncoder(
         EncoderConfig(dim=2048, mz_bins=16_000, intensity_levels=64)
     )

@@ -6,18 +6,59 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.spectrum import (
     MassSpectrum,
+    PeakBatch,
     PreprocessingConfig,
-    filter_peaks,
-    preprocess_batch,
+    preprocess_peaks,
     preprocess_spectrum,
     preprocessing_survival_rate,
-    scale_and_normalize,
-    select_top_k,
 )
 
 
 def spectrum_with(mz, intensity, charge=2, precursor=500.0):
     return MassSpectrum("s", precursor, charge, np.array(mz), np.array(intensity))
+
+
+def filter_peaks(spectrum, config):
+    """The filter stage alone: no QC drop, no top-k cut, no scaling."""
+    isolated = PreprocessingConfig(
+        min_intensity_fraction=config.min_intensity_fraction,
+        precursor_tolerance_da=config.precursor_tolerance_da,
+        min_mz=config.min_mz,
+        max_mz=config.max_mz,
+        top_k=max(1, spectrum.peak_count),
+        min_peaks=1,
+        scaling="none",
+    )
+    return preprocess_spectrum(spectrum, isolated)
+
+
+def select_top_k(spectrum, k):
+    """The top-k stage alone: every peak passes the filter."""
+    config = PreprocessingConfig(
+        min_intensity_fraction=0.0,
+        precursor_tolerance_da=0.0,
+        min_mz=0.0,
+        max_mz=1e9,
+        top_k=k,
+        min_peaks=1,
+        scaling="none",
+    )
+    return preprocess_spectrum(spectrum, config)
+
+
+def scale_and_normalize(spectrum, scaling="sqrt"):
+    """The scale/normalise stage alone: every peak passes the filter."""
+    config = PreprocessingConfig(
+        min_intensity_fraction=0.0,
+        precursor_tolerance_da=0.0,
+        min_mz=0.0,
+        max_mz=1e9,
+        top_k=max(1, spectrum.peak_count),
+        min_peaks=1,
+        scaling=scaling,
+    )
+    processed, _ = preprocess_peaks(PeakBatch.from_spectra([spectrum]), config)
+    return processed
 
 
 class TestConfigValidation:
@@ -81,7 +122,7 @@ class TestTopK:
         spectrum = spectrum_with(mz, intensity)
         selected = select_top_k(spectrum, 3)
         assert selected.peak_count == 3
-        assert set(selected.intensity) == {8.0, 9.0, 10.0}
+        np.testing.assert_array_equal(selected.mz, mz[7:])
 
     def test_preserves_mz_order(self):
         spectrum = spectrum_with(
@@ -96,9 +137,8 @@ class TestTopK:
         assert selected.peak_count == 2
 
     def test_invalid_k(self):
-        spectrum = spectrum_with([150.0], [1.0])
         with pytest.raises(ConfigurationError):
-            select_top_k(spectrum, 0)
+            select_top_k(spectrum_with([150.0], [1.0]), 0)
 
 
 class TestScaleNormalize:
@@ -125,7 +165,7 @@ class TestScaleNormalize:
     def test_empty_spectrum_no_crash(self):
         spectrum = spectrum_with([], [])
         scaled = scale_and_normalize(spectrum)
-        assert scaled.peak_count == 0
+        assert len(scaled) == 0
 
 
 class TestFullPipeline:
@@ -149,8 +189,11 @@ class TestFullPipeline:
             np.linspace(150, 900, 30), np.ones(30)
         )
         bad = spectrum_with([150.0], [1.0])
-        batch = preprocess_batch([good, bad, good])
-        assert len(batch) == 2
+        processed, kept = preprocess_peaks(
+            PeakBatch.from_spectra([good, bad, good])
+        )
+        assert len(processed) == 2
+        assert kept.tolist() == [0, 2]
 
     def test_survival_rate(self):
         good = spectrum_with(np.linspace(150, 900, 30), np.ones(30))

@@ -26,6 +26,11 @@ class TestConstruction:
         with pytest.raises(SpectrumError, match="positive"):
             make([100.0], [1.0], precursor=0.0)
 
+    @pytest.mark.parametrize("precursor", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_precursor_rejected(self, precursor):
+        with pytest.raises(SpectrumError, match="positive and finite"):
+            make([100.0], [1.0], precursor=precursor)
+
     def test_zero_charge_rejected(self):
         with pytest.raises(SpectrumError, match="charge"):
             make([100.0], [1.0], charge=0)

@@ -82,6 +82,26 @@ class TestMissingInput:
         assert "nope.mgf" in err
 
 
+class TestInvalidPrecursorInput:
+    """Bad precursor headers end the command with one error line."""
+
+    @pytest.mark.parametrize(
+        "header", ["PEPMASS=inf", "PEPMASS=nan", "PEPMASS=0", "CHARGE=0"]
+    )
+    def test_cluster_reports_file_and_line(self, header, tmp_path, capsys):
+        bad = tmp_path / "bad.mgf"
+        bad.write_text(
+            "BEGIN IONS\nTITLE=good\nPEPMASS=500\n150 1\nEND IONS\n"
+            f"BEGIN IONS\nTITLE=bad\nPEPMASS=500\n{header}\n150 1\n"
+            "END IONS\n"
+        )
+        assert main(["cluster", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.rstrip().endswith(f"({bad}:11)")
+        assert "Traceback" not in err
+
+
 class TestKernelTierFlagRemoved:
     """The packed-bit kernels have one implementation; no flag picks it."""
 
